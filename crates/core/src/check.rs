@@ -23,7 +23,7 @@ use program::concurrent::{LetterId, ProductState, Program, Spec};
 use reduction::order::{OrderContext, PreferenceOrder};
 use reduction::persistent::{MembraneMode, PersistentSets};
 use smt::term::{TermId, TermPool};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Result of one proof-check round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,13 +51,6 @@ pub struct CheckStats {
     pub useless_probes: usize,
     /// Useless-cache entries after the round (a gauge, not a delta).
     pub useless_len: usize,
-    /// Work-stealing events between parallel DFS workers (0 sequentially).
-    pub steals: usize,
-    /// Tasks processed by parallel DFS workers (0 on the sequential path).
-    pub par_tasks: usize,
-    /// Tasks processed by the busiest parallel worker — together with
-    /// `par_tasks` this measures load balance (ideal: `par_tasks / N`).
-    pub max_worker_tasks: usize,
 }
 
 /// Switches for the proof check.
@@ -77,13 +70,14 @@ pub struct CheckConfig {
     /// state, so the governor's run-wide budget is the ultimate
     /// authority; this field is the per-round cap.
     pub max_visited: usize,
-    /// Worker threads for the proof-check DFS; `1` (the default) runs the
-    /// sequential Algorithm 2 code path byte-for-byte.
+    /// Ignored. It set the worker count of the parallel proof check,
+    /// which was removed; the field stays so that code building a
+    /// `CheckConfig` field by field (the benchmark's traced runner in
+    /// `perfbench/`) still compiles.
     pub dfs_threads: usize,
-    /// Probe the useless-state cache but record no new entries. Test and
-    /// measurement knob: with marking frozen, the set of states a round
-    /// visits is schedule-independent, so parallel and sequential rounds
-    /// can be compared for exact visited-set equality.
+    /// Ignored. It froze useless-cache marking so that parallel and
+    /// sequential rounds visited the same states; it stays because the
+    /// benchmark's traced runner in `perfbench/` also sets it by name.
     pub freeze_useless: bool,
 }
 
@@ -200,11 +194,11 @@ enum VisitStatus {
     DoneTainted,
 }
 
+/// A DFS state `(q, Φ, S, ctx)`.
+type Key = (ProductState, ProofStateId, BitSet, OrderContext);
+
 struct Frame {
-    q: ProductState,
-    phi: ProofStateId,
-    sleep: BitSet,
-    ctx: OrderContext,
+    key: Key,
     /// Letter taken from the parent to reach this frame.
     via: Option<LetterId>,
     explore: Vec<LetterId>,
@@ -213,7 +207,235 @@ struct Frame {
     tainted: bool,
 }
 
-type Key = (ProductState, ProofStateId, BitSet, OrderContext);
+/// Facts the DFS reports as it goes. The proof check passes `()`, whose
+/// hooks do nothing and compile away; certificate recording passes a
+/// [`Recording`].
+trait Recorder {
+    /// An explored edge used the annotation transition `Φ' = δ(Φ, a)`.
+    fn edge(&mut self, _from: ProofStateId, _a: LetterId, _to: ProofStateId) {}
+    /// A state with annotation `Φ` was pruned because `⋀Φ` is unsatisfiable.
+    fn bottom(&mut self, _phi: ProofStateId) {}
+    /// An accepting state's annotation `Φ` entails the postcondition.
+    fn safe(&mut self, _phi: ProofStateId) {}
+    /// `b` fell asleep after `a` at a state annotated `Φ`, because the two
+    /// commute under `⋀Φ` (under `true` without proof-sensitivity).
+    fn commutes(&mut self, _a: LetterId, _b: LetterId, _phi: ProofStateId) {}
+}
+
+impl Recorder for () {}
+
+/// One walk of Algorithm 2: everything the DFS reads or queries.
+struct Dfs<'a, R> {
+    pool: &'a mut TermPool,
+    program: &'a Program,
+    spec: Spec,
+    order: &'a dyn PreferenceOrder,
+    oracle: &'a mut CommutativityOracle,
+    persistent: Option<&'a PersistentSets>,
+    proof: &'a mut ProofAutomaton,
+    config: &'a CheckConfig,
+    recorder: &'a mut R,
+}
+
+impl<R: Recorder> Dfs<'_, R> {
+    /// The one proof-check DFS. It walks from `(q0, phi0, ∅, 0)` and stops
+    /// at the first uncovered accepting state, after `max_visited` states,
+    /// or when the governor trips. With a `useless` cache it skips states
+    /// the cache subsumes and marks cleanly explored ones.
+    fn run(
+        &mut self,
+        phi0: ProofStateId,
+        mut useless: Option<&mut UselessCache>,
+        max_visited: usize,
+        stats: &mut CheckStats,
+    ) -> CheckResult {
+        let governor = self.pool.governor().clone();
+        let mut visited: HashMap<Key, VisitStatus> = HashMap::new();
+        let mut stack: Vec<Frame> = Vec::new();
+        let root: Key = (
+            self.program.initial_state(),
+            phi0,
+            BitSet::new(self.program.num_letters()),
+            0,
+        );
+        if self.skips(useless.as_deref(), &root, stats) {
+            return CheckResult::Proven;
+        }
+        if let Some(trace) = self.discover(root, None, &mut visited, &mut stack, stats) {
+            return CheckResult::Counterexample(trace);
+        }
+
+        while let Some(frame) = stack.last_mut() {
+            if stats.visited > max_visited {
+                return CheckResult::LimitReached;
+            }
+            // One DFS state per iteration; the charge also observes the
+            // deadline, cancellation flag and any injected fault, so a round
+            // aborts mid-DFS rather than between rounds.
+            if let Err(give_up) = governor.charge(Category::DfsStates) {
+                return CheckResult::Interrupted(give_up);
+            }
+            if frame.next >= frame.explore.len() {
+                // Subtree done: pop, record, propagate taint.
+                let frame = stack.pop().expect("frame exists");
+                let status = if frame.tainted {
+                    if let Some(parent) = stack.last_mut() {
+                        parent.tainted = true;
+                    }
+                    VisitStatus::DoneTainted
+                } else {
+                    if let Some(useless) = useless.as_deref_mut() {
+                        let (q, phi, sleep, ctx) = &frame.key;
+                        useless.mark(
+                            q.clone(),
+                            sleep.clone(),
+                            *ctx,
+                            self.proof.assertion_set(*phi).to_vec(),
+                        );
+                    }
+                    VisitStatus::DoneClean
+                };
+                visited.insert(frame.key, status);
+                continue;
+            }
+            let a = frame.explore[frame.next];
+            frame.next += 1;
+            let next = self.successor(frame, a);
+            match visited.get(&next) {
+                Some(VisitStatus::OnStack | VisitStatus::DoneTainted) => {
+                    frame.tainted = true;
+                    continue;
+                }
+                Some(VisitStatus::DoneClean) => continue,
+                None => {}
+            }
+            if self.skips(useless.as_deref(), &next, stats) {
+                visited.insert(next, VisitStatus::DoneClean);
+                continue;
+            }
+            if let Some(trace) = self.discover(next, Some(a), &mut visited, &mut stack, stats) {
+                return CheckResult::Counterexample(trace);
+            }
+        }
+        CheckResult::Proven
+    }
+
+    /// Probes the cross-round useless-state cache, if there is one.
+    fn skips(&self, useless: Option<&UselessCache>, key: &Key, stats: &mut CheckStats) -> bool {
+        let Some(useless) = useless else {
+            return false;
+        };
+        let (q, phi, sleep, ctx) = key;
+        stats.useless_probes += 1;
+        let skip = useless.is_useless(q, sleep, *ctx, self.proof.assertion_set(*phi));
+        stats.cache_skips += usize::from(skip);
+        skip
+    }
+
+    /// Visits a newly discovered state: prunes it when covered, pushes a
+    /// frame when it must be expanded, and returns the trace to it when it
+    /// is an uncovered accepting state.
+    fn discover(
+        &mut self,
+        key: Key,
+        via: Option<LetterId>,
+        visited: &mut HashMap<Key, VisitStatus>,
+        stack: &mut Vec<Frame>,
+        stats: &mut CheckStats,
+    ) -> Option<Vec<LetterId>> {
+        stats.visited += 1;
+        let (q, phi, sleep, ctx) = &key;
+        // Covered: the prefix is already proven infeasible.
+        if self.proof.is_bottom(self.pool, *phi) {
+            self.recorder.bottom(*phi);
+            visited.insert(key, VisitStatus::DoneClean);
+            return None;
+        }
+        if self.program.is_accepting(q, self.spec) {
+            let safe = match self.spec {
+                Spec::ErrorOf(_) => false, // reachable error, not refuted
+                Spec::PrePost => self
+                    .proof
+                    .implies_post(self.pool, *phi, self.program.post()),
+            };
+            if !safe {
+                return Some(stack.iter().filter_map(|f| f.via).chain(via).collect());
+            }
+            self.recorder.safe(*phi);
+            visited.insert(key, VisitStatus::DoneClean);
+            return None;
+        }
+        let enabled = self.program.enabled(q);
+        let mut explore: Vec<LetterId> = match self.persistent {
+            Some(ps) => {
+                let mode = match self.spec {
+                    Spec::PrePost => MembraneMode::Terminal,
+                    Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
+                };
+                ps.compute(self.program, q, self.order, *ctx, mode)
+            }
+            None => enabled.clone(),
+        };
+        if self.config.use_sleep {
+            explore.retain(|l| !sleep.contains(l.index()));
+        }
+        // Deterministic DFS order: most preferred letter first.
+        explore.sort_by_key(|&l| self.order.rank(*ctx, l, self.program));
+        visited.insert(key.clone(), VisitStatus::OnStack);
+        stack.push(Frame {
+            key,
+            via,
+            explore,
+            enabled,
+            next: 0,
+            tainted: false,
+        });
+        None
+    }
+
+    /// The successor of `frame`'s state under `a`. Its sleep set holds the
+    /// enabled letters that were asleep or preferred over `a` and commute
+    /// with `a` (under `⋀Φ` when proof-sensitive).
+    fn successor(&mut self, frame: &Frame, a: LetterId) -> Key {
+        let (q, phi, sleep, ctx) = &frame.key;
+        let (phi, ctx) = (*phi, *ctx);
+        let next_q = self.program.step(q, a).expect("explored letter is enabled");
+        let next_phi = self.proof.step(self.pool, self.program, phi, a);
+        let next_ctx = self.order.step(ctx, a, self.program);
+        self.recorder.edge(phi, a, next_phi);
+        let mut next_sleep = BitSet::new(self.program.num_letters());
+        if self.config.use_sleep {
+            let condition: TermId = if self.config.proof_sensitive {
+                self.proof.conjunction(phi)
+            } else {
+                TermPool::TRUE
+            };
+            for &b in &frame.enabled {
+                let earlier = sleep.contains(b.index()) || self.order.less(ctx, b, a, self.program);
+                if earlier
+                    && self
+                        .oracle
+                        .commute_under(self.pool, self.program, condition, a, b)
+                {
+                    next_sleep.insert(b.index());
+                    self.recorder.commutes(a, b, phi);
+                }
+            }
+        }
+        (next_q, next_phi, next_sleep, next_ctx)
+    }
+}
+
+/// The proof state of the initial product state: the assertions implied by
+/// the initial values and the precondition.
+fn initial_proof_state(
+    pool: &mut TermPool,
+    program: &Program,
+    proof: &mut ProofAutomaton,
+) -> ProofStateId {
+    let init_formula = pool.and([program.init_formula(), program.pre()]);
+    proof.initial_state(pool, init_formula)
+}
 
 /// Runs one proof-check round (Algorithm 2).
 #[allow(clippy::too_many_arguments)]
@@ -229,188 +451,21 @@ pub fn check_proof(
     config: &CheckConfig,
     stats: &mut CheckStats,
 ) -> CheckResult {
-    let governor = pool.governor().clone();
-    let membrane_mode = match spec {
-        Spec::PrePost => MembraneMode::Terminal,
-        Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
-    };
-    let n_letters = program.num_letters();
-    let init_formula = pool.and([program.init_formula(), program.pre()]);
-    let phi0 = proof.initial_state(pool, init_formula);
-
-    let mut visited: HashMap<Key, VisitStatus> = HashMap::new();
-    let mut stack: Vec<Frame> = Vec::new();
-
-    // Returns Some(frame) if the state should be expanded, None if it is
-    // covered/pruned; Err(trace) when it is an uncovered accepting state.
-    macro_rules! enter {
-        ($q:expr, $phi:expr, $sleep:expr, $ctx:expr, $via:expr, $trace_prefix:expr) => {{
-            let q: ProductState = $q;
-            let phi: ProofStateId = $phi;
-            let sleep: BitSet = $sleep;
-            let ctx: OrderContext = $ctx;
-            stats.visited += 1;
-            // Covered: the prefix is already proven infeasible.
-            if proof.is_bottom(pool, phi) {
-                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
-                None
-            } else if program.is_accepting(&q, spec) {
-                let violated = match spec {
-                    Spec::ErrorOf(_) => true, // reachable error, not refuted
-                    Spec::PrePost => !proof.implies_post(pool, phi, program.post()),
-                };
-                if violated {
-                    let mut trace: Vec<LetterId> = $trace_prefix;
-                    if let Some(l) = $via {
-                        trace.push(l);
-                    }
-                    return CheckResult::Counterexample(trace);
-                }
-                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
-                None
-            } else {
-                let enabled = program.enabled(&q);
-                let mut explore: Vec<LetterId> = match persistent {
-                    Some(ps) => ps.compute(program, &q, order, ctx, membrane_mode),
-                    None => enabled.clone(),
-                };
-                if config.use_sleep {
-                    explore.retain(|l| !sleep.contains(l.index()));
-                }
-                // Deterministic DFS order: most preferred letter first.
-                explore.sort_by_key(|&l| order.rank(ctx, l, program));
-                visited.insert((q.clone(), phi, sleep.clone(), ctx), VisitStatus::OnStack);
-                Some(Frame {
-                    q,
-                    phi,
-                    sleep,
-                    ctx,
-                    via: $via,
-                    explore,
-                    enabled,
-                    next: 0,
-                    tainted: false,
-                })
-            }
-        }};
+    let phi0 = initial_proof_state(pool, program, proof);
+    let result = Dfs {
+        pool,
+        program,
+        spec,
+        order,
+        oracle,
+        persistent,
+        proof,
+        config,
+        recorder: &mut (),
     }
-
-    let q0 = program.initial_state();
-    let sleep0 = BitSet::new(n_letters);
-    stats.useless_probes += 1;
-    if useless.is_useless(&q0, &sleep0, 0, proof.assertion_set(phi0)) {
-        stats.cache_skips += 1;
-        return CheckResult::Proven;
-    }
-    match enter!(q0, phi0, sleep0, 0, None, Vec::new()) {
-        Some(f) => stack.push(f),
-        None => return CheckResult::Proven,
-    }
-
-    while let Some(frame) = stack.last_mut() {
-        if stats.visited > config.max_visited {
-            return CheckResult::LimitReached;
-        }
-        // One DFS state per iteration; the charge also observes the
-        // deadline, cancellation flag and any injected fault, so a round
-        // aborts mid-DFS rather than between rounds.
-        if let Err(give_up) = governor.charge(Category::DfsStates) {
-            return CheckResult::Interrupted(give_up);
-        }
-        if frame.next >= frame.explore.len() {
-            // Subtree done: pop, record, propagate taint.
-            let frame = stack.pop().expect("frame exists");
-            let key: Key = (frame.q.clone(), frame.phi, frame.sleep.clone(), frame.ctx);
-            let status = if frame.tainted {
-                VisitStatus::DoneTainted
-            } else {
-                if !config.freeze_useless {
-                    useless.mark(
-                        frame.q.clone(),
-                        frame.sleep.clone(),
-                        frame.ctx,
-                        proof.assertion_set(frame.phi).to_vec(),
-                    );
-                }
-                VisitStatus::DoneClean
-            };
-            visited.insert(key, status);
-            if frame.tainted {
-                if let Some(parent) = stack.last_mut() {
-                    parent.tainted = true;
-                }
-            }
-            continue;
-        }
-        let a = frame.explore[frame.next];
-        frame.next += 1;
-
-        // Successor components.
-        let q = frame.q.clone();
-        let phi = frame.phi;
-        let sleep = frame.sleep.clone();
-        let ctx = frame.ctx;
-        let enabled = frame.enabled.clone();
-
-        let next_q = program.step(&q, a).expect("explored letter is enabled");
-        let next_phi = proof.step(pool, program, phi, a);
-        let next_ctx = order.step(ctx, a, program);
-        let next_sleep = if config.use_sleep {
-            let condition: TermId = if config.proof_sensitive {
-                proof.conjunction(phi)
-            } else {
-                TermPool::TRUE
-            };
-            let mut s = BitSet::new(n_letters);
-            for &b in &enabled {
-                let earlier = sleep.contains(b.index()) || order.less(ctx, b, a, program);
-                if earlier && oracle.commute_under(pool, program, condition, a, b) {
-                    s.insert(b.index());
-                }
-            }
-            s
-        } else {
-            BitSet::new(n_letters)
-        };
-
-        let key: Key = (next_q.clone(), next_phi, next_sleep.clone(), next_ctx);
-        match visited.get(&key) {
-            Some(VisitStatus::OnStack) => {
-                stack.last_mut().expect("parent").tainted = true;
-                continue;
-            }
-            Some(VisitStatus::DoneTainted) => {
-                stack.last_mut().expect("parent").tainted = true;
-                continue;
-            }
-            Some(VisitStatus::DoneClean) => continue,
-            None => {}
-        }
-        // Cross-round cache.
-        stats.useless_probes += 1;
-        if useless.is_useless(
-            &next_q,
-            &next_sleep,
-            next_ctx,
-            proof.assertion_set(next_phi),
-        ) {
-            stats.cache_skips += 1;
-            visited.insert(key, VisitStatus::DoneClean);
-            continue;
-        }
-        let trace_prefix: Vec<LetterId> = stack.iter().filter_map(|f| f.via).collect();
-        if let Some(f) = enter!(
-            next_q,
-            next_phi,
-            next_sleep,
-            next_ctx,
-            Some(a),
-            trace_prefix
-        ) {
-            stack.push(f)
-        }
-    }
-    CheckResult::Proven
+    .run(phi0, Some(useless), config.max_visited, stats);
+    stats.useless_len = useless.len();
+    result
 }
 
 /// The annotation-level image of one fully covered reduction, captured by
@@ -439,6 +494,39 @@ pub struct RecordedReduction {
     pub ucommute: Vec<(LetterId, LetterId)>,
 }
 
+/// The certificate recorder: the facts of one walk, sorted and deduplicated.
+#[derive(Default)]
+struct Recording {
+    proof_sensitive: bool,
+    edges: BTreeSet<(ProofStateId, LetterId, ProofStateId)>,
+    bottoms: BTreeSet<ProofStateId>,
+    safes: BTreeSet<ProofStateId>,
+    claims: BTreeSet<(LetterId, LetterId, ProofStateId)>,
+    ucommute: BTreeSet<(LetterId, LetterId)>,
+}
+
+impl Recorder for Recording {
+    fn edge(&mut self, from: ProofStateId, a: LetterId, to: ProofStateId) {
+        self.edges.insert((from, a, to));
+    }
+
+    fn bottom(&mut self, phi: ProofStateId) {
+        self.bottoms.insert(phi);
+    }
+
+    fn safe(&mut self, phi: ProofStateId) {
+        self.safes.insert(phi);
+    }
+
+    fn commutes(&mut self, a: LetterId, b: LetterId, phi: ProofStateId) {
+        if self.proof_sensitive {
+            self.claims.insert((a, b, phi));
+        } else {
+            self.ucommute.insert((a.min(b), a.max(b)));
+        }
+    }
+}
+
 /// State-budget headroom for the certificate recording re-walk, as a
 /// multiple of [`CheckConfig::max_visited`]. The re-walk takes no
 /// useless-cache skips, so it re-expands subtrees the check skipped; a
@@ -451,11 +539,11 @@ pub const RECORD_VISITED_HEADROOM: usize = 4;
 /// Re-walks the reduction after a round returned [`CheckResult::Proven`]
 /// and records its annotation-level structure.
 ///
-/// Unlike [`check_proof`] this walk takes **no** useless-cache skips, so
-/// the recorded table covers subtrees earlier rounds had already
-/// discharged — the certificate must stand on its own. Every solver query
-/// hits the proof automaton's and oracle's memo tables, so the pass is
-/// roughly one cold round of pure graph traversal.
+/// This is the [`check_proof`] DFS without the useless cache, so the
+/// recorded table covers subtrees earlier rounds had already discharged —
+/// the certificate must stand on its own. Every solver query hits the
+/// proof automaton's and oracle's memo tables, so the pass is roughly one
+/// cold round of pure graph traversal.
 ///
 /// Returns `None` when the walk cannot be completed faithfully: the state
 /// budget or resource governor trips mid-walk, or (defensively) an
@@ -472,23 +560,11 @@ pub fn record_reduction(
     proof: &mut ProofAutomaton,
     config: &CheckConfig,
 ) -> Option<RecordedReduction> {
-    use std::collections::BTreeSet;
-
-    let governor = pool.governor().clone();
-    let membrane_mode = match spec {
-        Spec::PrePost => MembraneMode::Terminal,
-        Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
+    let initial = initial_proof_state(pool, program, proof);
+    let mut rec = Recording {
+        proof_sensitive: config.proof_sensitive,
+        ..Recording::default()
     };
-    let n_letters = program.num_letters();
-    let init_formula = pool.and([program.init_formula(), program.pre()]);
-    let phi0 = proof.initial_state(pool, init_formula);
-
-    let mut edges: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
-    let mut bottoms: BTreeSet<u32> = BTreeSet::new();
-    let mut safes: BTreeSet<u32> = BTreeSet::new();
-    let mut claims: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
-    let mut ucommute: BTreeSet<(u32, u32)> = BTreeSet::new();
-
     // Membranes consume the whole unconditional commutativity relation, so
     // the certificate must carry it whenever membranes (or condition-free
     // sleep sets) are in play. The oracle has every pair cached from
@@ -496,168 +572,39 @@ pub fn record_reduction(
     if persistent.is_some() || (config.use_sleep && !config.proof_sensitive) {
         for a in program.letters() {
             for b in program.letters() {
-                if a.index() < b.index()
+                if a < b
                     && program.thread_of(a) != program.thread_of(b)
                     && oracle.commute(pool, program, a, b)
                 {
-                    ucommute.insert((a.index() as u32, b.index() as u32));
+                    rec.ucommute.insert((a, b));
                 }
             }
         }
     }
-
-    struct RecFrame {
-        q: ProductState,
-        phi: ProofStateId,
-        sleep: BitSet,
-        ctx: OrderContext,
-        explore: Vec<LetterId>,
-        enabled: Vec<LetterId>,
-        next: usize,
+    let result = Dfs {
+        pool,
+        program,
+        spec,
+        order,
+        oracle,
+        persistent,
+        proof,
+        config,
+        recorder: &mut rec,
     }
-
-    let mut visited: BTreeSet<Key> = BTreeSet::new();
-    let mut stack: Vec<RecFrame> = Vec::new();
-    let mut seen = 0usize;
-
-    // Mirrors `enter!`: classify a state, record the fact that justified
-    // its treatment, and return a frame when it must be expanded.
-    macro_rules! rec_enter {
-        ($q:expr, $phi:expr, $sleep:expr, $ctx:expr) => {{
-            let q: ProductState = $q;
-            let phi: ProofStateId = $phi;
-            let sleep: BitSet = $sleep;
-            let ctx: OrderContext = $ctx;
-            seen += 1;
-            // The recording walk takes no useless-cache skips, so it can
-            // legitimately visit more states than the check did — a check
-            // that fit `max_visited` only thanks to cache skips must not
-            // lose its certificate here. The headroom factor covers that;
-            // the `Category::DfsStates` governor charge below still owns
-            // the run-wide budget. If the cap trips anyway the certificate
-            // is dropped (surfaced as `certs_dropped`), never truncated.
-            if seen > config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM) {
-                return None;
-            }
-            if proof.is_bottom(pool, phi) {
-                bottoms.insert(phi.0);
-                None
-            } else if program.is_accepting(&q, spec) {
-                match spec {
-                    Spec::ErrorOf(_) => return None, // uncovered accepting state
-                    Spec::PrePost => {
-                        if !proof.implies_post(pool, phi, program.post()) {
-                            return None;
-                        }
-                        safes.insert(phi.0);
-                    }
-                }
-                None
-            } else {
-                let enabled = program.enabled(&q);
-                let mut explore: Vec<LetterId> = match persistent {
-                    Some(ps) => ps.compute(program, &q, order, ctx, membrane_mode),
-                    None => enabled.clone(),
-                };
-                if config.use_sleep {
-                    explore.retain(|l| !sleep.contains(l.index()));
-                }
-                explore.sort_by_key(|&l| order.rank(ctx, l, program));
-                Some(RecFrame {
-                    q,
-                    phi,
-                    sleep,
-                    ctx,
-                    explore,
-                    enabled,
-                    next: 0,
-                })
-            }
-        }};
-    }
-
-    let q0 = program.initial_state();
-    let sleep0 = BitSet::new(n_letters);
-    visited.insert((q0.clone(), phi0, sleep0.clone(), 0));
-    if let Some(f) = rec_enter!(q0, phi0, sleep0, 0) {
-        stack.push(f);
-    }
-
-    while let Some(frame) = stack.last_mut() {
-        if governor.charge(Category::DfsStates).is_err() {
-            return None;
-        }
-        if frame.next >= frame.explore.len() {
-            stack.pop();
-            continue;
-        }
-        let a = frame.explore[frame.next];
-        frame.next += 1;
-
-        let q = frame.q.clone();
-        let phi = frame.phi;
-        let sleep = frame.sleep.clone();
-        let ctx = frame.ctx;
-        let enabled = frame.enabled.clone();
-
-        let next_q = program.step(&q, a).expect("explored letter is enabled");
-        let next_phi = proof.step(pool, program, phi, a);
-        let next_ctx = order.step(ctx, a, program);
-        edges.insert((phi.0, a.index() as u32, next_phi.0));
-        let next_sleep = if config.use_sleep {
-            let condition: TermId = if config.proof_sensitive {
-                proof.conjunction(phi)
-            } else {
-                TermPool::TRUE
-            };
-            let mut s = BitSet::new(n_letters);
-            for &b in &enabled {
-                let earlier = sleep.contains(b.index()) || order.less(ctx, b, a, program);
-                if earlier && oracle.commute_under(pool, program, condition, a, b) {
-                    s.insert(b.index());
-                    if config.proof_sensitive {
-                        claims.insert((a.index() as u32, b.index() as u32, phi.0));
-                    } else {
-                        let (lo, hi) = if a.index() < b.index() {
-                            (a, b)
-                        } else {
-                            (b, a)
-                        };
-                        ucommute.insert((lo.index() as u32, hi.index() as u32));
-                    }
-                }
-            }
-            s
-        } else {
-            BitSet::new(n_letters)
-        };
-
-        let key: Key = (next_q.clone(), next_phi, next_sleep.clone(), next_ctx);
-        if !visited.insert(key) {
-            continue;
-        }
-        if let Some(f) = rec_enter!(next_q, next_phi, next_sleep, next_ctx) {
-            stack.push(f);
-        }
-    }
-
-    let wrap = |x: &BTreeSet<u32>| x.iter().map(|&s| ProofStateId(s)).collect::<Vec<_>>();
-    Some(RecordedReduction {
-        initial: phi0,
-        edges: edges
-            .iter()
-            .map(|&(s, l, t)| (ProofStateId(s), LetterId(l), ProofStateId(t)))
-            .collect(),
-        bottoms: wrap(&bottoms),
-        safes: wrap(&safes),
-        claims: claims
-            .iter()
-            .map(|&(a, b, s)| (LetterId(a), LetterId(b), ProofStateId(s)))
-            .collect(),
-        ucommute: ucommute
-            .iter()
-            .map(|&(a, b)| (LetterId(a), LetterId(b)))
-            .collect(),
+    .run(
+        initial,
+        None,
+        config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM),
+        &mut CheckStats::default(),
+    );
+    (result == CheckResult::Proven).then(|| RecordedReduction {
+        initial,
+        edges: rec.edges.into_iter().collect(),
+        bottoms: rec.bottoms.into_iter().collect(),
+        safes: rec.safes.into_iter().collect(),
+        claims: rec.claims.into_iter().collect(),
+        ucommute: rec.ucommute.into_iter().collect(),
     })
 }
 

@@ -46,6 +46,15 @@ pub struct InterpolationStats {
     pub farkas_chains: usize,
 }
 
+impl InterpolationStats {
+    /// Adds `other`'s counters to these.
+    pub fn add(&mut self, other: &InterpolationStats) {
+        self.feasibility_checks += other.feasibility_checks;
+        self.sliced_statements += other.sliced_statements;
+        self.farkas_chains += other.farkas_chains;
+    }
+}
+
 /// Which interpolation engine generates the assertion chain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InterpolationMode {

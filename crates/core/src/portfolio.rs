@@ -193,7 +193,7 @@ pub fn adaptive_verify(
                     first_give_up.get_or_insert(g);
                     alive.retain(|&i| i != idx);
                 }
-                RoundOutcome::Cancelled => alive.retain(|&i| i != idx),
+                RoundOutcome::Cancelled(_) => alive.retain(|&i| i != idx),
             }
         }
     }
@@ -209,30 +209,16 @@ pub fn adaptive_verify(
     (outcome, winner)
 }
 
-/// Folds engine counters and the shared proof into the running stats.
+/// Folds one spec's engines and their shared proof into the running
+/// stats. Rounds are single-threaded, so the engines' query-cache deltas
+/// are disjoint and their sum is exact.
 fn finish(
     mut stats: RunStats,
     engines: &[Engine],
     shared: &ProofAutomaton,
     start: Instant,
 ) -> RunStats {
-    for e in engines {
-        stats.rounds += e.stats.rounds;
-        stats.visited_states += e.stats.visited;
-        stats.max_round_visited = stats.max_round_visited.max(e.stats.max_round_visited);
-        stats.cache_skips += e.stats.cache_skips;
-        stats.useless_probes += e.stats.useless_probes;
-        stats.useless_len += e.stats.useless_len;
-        stats.dfs_steals += e.stats.dfs_steals;
-        stats.dfs_tasks += e.stats.dfs_tasks;
-        stats.dfs_max_worker_tasks = stats.dfs_max_worker_tasks.max(e.stats.dfs_max_worker_tasks);
-        stats.certs_dropped += e.stats.certs_dropped;
-        // Single-threaded rounds: per-engine deltas are disjoint, so the
-        // sum is exact.
-        stats.qcache_hits += e.stats.qcache_hits;
-        stats.qcache_misses += e.stats.qcache_misses;
-    }
-    stats.proof_size = stats.proof_size.max(shared.proof_size());
+    stats.add_engines(engines.iter().map(|e| &e.stats), shared.proof_size());
     stats.time = start.elapsed();
     stats
 }
@@ -354,7 +340,6 @@ struct WorkerExit {
     verdict: WorkerVerdict,
     stats: EngineStats,
     proof_size: usize,
-    hoare_checks: usize,
     /// The worker's full proof at exit, exported pool-independently — the
     /// harvest the restart supervisor recycles into the next attempt.
     assertions: Vec<ExportedTerm>,
@@ -415,24 +400,10 @@ pub fn parallel_verify(
                 }
             }
         }
+        // Each worker refined its own proof. The summed query-cache deltas
+        // are replaced by the pool-level delta at exit.
         for exit in &phase.exits {
-            stats.rounds += exit.stats.rounds;
-            stats.visited_states += exit.stats.visited;
-            stats.max_round_visited = stats.max_round_visited.max(exit.stats.max_round_visited);
-            stats.cache_skips += exit.stats.cache_skips;
-            stats.useless_probes += exit.stats.useless_probes;
-            stats.useless_len += exit.stats.useless_len;
-            stats.dfs_steals += exit.stats.dfs_steals;
-            stats.dfs_tasks += exit.stats.dfs_tasks;
-            stats.dfs_max_worker_tasks = stats
-                .dfs_max_worker_tasks
-                .max(exit.stats.dfs_max_worker_tasks);
-            stats.certs_dropped += exit.stats.certs_dropped;
-            stats.hoare_checks += exit.hoare_checks;
-            stats.proof_size = stats.proof_size.max(exit.proof_size);
-            stats.interpolation.feasibility_checks += exit.stats.interpolation.feasibility_checks;
-            stats.interpolation.sliced_statements += exit.stats.interpolation.sliced_statements;
-            stats.interpolation.farkas_chains += exit.stats.interpolation.farkas_chains;
+            stats.add_engines([&exit.stats], exit.proof_size);
         }
         let winner_idx = phase.winner;
         for exit in &phase.exits {
@@ -563,7 +534,6 @@ fn run_spec_parallel(
                         verdict: WorkerVerdict::Panicked(panic_message(payload)),
                         stats: EngineStats::default(),
                         proof_size: 0,
-                        hoare_checks: 0,
                         assertions: Vec::new(),
                         certificate: None,
                     })
@@ -631,7 +601,6 @@ fn worker_loop(
             verdict,
             stats: engine.stats,
             proof_size: proof.proof_size(),
-            hoare_checks: proof.stats().hoare_checks,
             assertions: proof.assertions().iter().map(|&t| pool.export(t)).collect(),
             certificate,
         })
@@ -720,7 +689,7 @@ fn worker_loop(
             RoundOutcome::GaveUp(give_up) => {
                 return exit(pool, &engine, &proof, WorkerVerdict::GaveUp(give_up), None)
             }
-            RoundOutcome::Cancelled => {
+            RoundOutcome::Cancelled(_) => {
                 return exit(pool, &engine, &proof, WorkerVerdict::Cancelled, None)
             }
         }
@@ -955,7 +924,6 @@ fn worker_lost(engine: usize) -> WorkerExit {
         )),
         stats: EngineStats::default(),
         proof_size: 0,
-        hoare_checks: 0,
         assertions: Vec::new(),
         certificate: None,
     }

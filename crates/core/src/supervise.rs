@@ -256,7 +256,8 @@ impl SupervisorState {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// Total completed rounds (snapshot + this process).
+    /// Total completed rounds (snapshot + this process's finished spec
+    /// phases); the phase in progress adds its own.
     fn rounds_completed(&self) -> usize {
         self.base_rounds + self.stats.rounds
     }
@@ -296,25 +297,29 @@ impl SupervisorState {
     }
 
     /// Writes a round-boundary checkpoint if a path is configured.
-    /// Best-effort: failures are recorded, not fatal.
-    fn write_checkpoint(&mut self, pool: &TermPool, proof: Option<&ProofAutomaton>) {
+    /// `in_flight` is the spec phase in progress: its proof and the rounds
+    /// it ran. Best-effort: failures are recorded, not fatal.
+    fn write_checkpoint(&mut self, pool: &TermPool, in_flight: Option<(&ProofAutomaton, usize)>) {
         let Some(path) = self.checkpoint.clone() else {
             return;
         };
-        let assertions = match proof {
-            Some(proof) => proof
-                .assertions()
-                .iter()
-                .map(|&id| pool.export(id))
-                .collect(),
-            None => self.recycled.clone(),
+        let (assertions, rounds) = match in_flight {
+            Some((proof, rounds)) => (
+                proof
+                    .assertions()
+                    .iter()
+                    .map(|&id| pool.export(id))
+                    .collect(),
+                rounds,
+            ),
+            None => (self.recycled.clone(), 0),
         };
         let snapshot = Snapshot {
             program_hash: self.program_hash,
             config_name: self.config_name.clone(),
             attempt: self.attempt,
             specs_done: self.specs_done,
-            rounds_completed: self.rounds_completed(),
+            rounds_completed: self.rounds_completed() + rounds,
             give_ups: self.give_ups.clone(),
             assertions,
         };
@@ -532,11 +537,11 @@ fn run_spec(
         let id = pool.import(t);
         proof.add_assertion(id);
     }
-    let mut rounds = 0usize;
     let end = loop {
+        let rounds = engine.stats.rounds;
         if state.interrupted() {
             state.harvest(pool, &proof);
-            state.write_checkpoint(pool, Some(&proof));
+            state.write_checkpoint(pool, Some((&proof, rounds)));
             break SpecEnd::Interrupted;
         }
         if rounds >= config.max_rounds {
@@ -566,11 +571,9 @@ fn run_spec(
                         }),
                 )
             });
-        rounds += 1;
-        state.stats.rounds += 1;
         match outcome {
             RoundOutcome::Refined => {
-                state.write_checkpoint(pool, Some(&proof));
+                state.write_checkpoint(pool, Some((&proof, engine.stats.rounds)));
             }
             RoundOutcome::Proven => {
                 let cert = engine.record_spec_cert(pool, program, &mut proof);
@@ -582,7 +585,7 @@ fn run_spec(
                 state.harvest(pool, &proof);
                 break SpecEnd::GaveUp(g);
             }
-            RoundOutcome::Cancelled => {
+            RoundOutcome::Cancelled(_) => {
                 state.harvest(pool, &proof);
                 break SpecEnd::GaveUp(GiveUp::new(Category::Cancelled, "round cancelled"));
             }
@@ -591,20 +594,8 @@ fn run_spec(
     // Every spec end contributes to the run-wide harvest (give-up paths
     // already did through `harvest`; this also covers Proven/Bug ends).
     state.harvest_all_only(pool, &proof);
-    state.stats.visited_states += engine.stats.visited;
-    state.stats.max_round_visited = state
-        .stats
-        .max_round_visited
-        .max(engine.stats.max_round_visited);
-    state.stats.cache_skips += engine.stats.cache_skips;
-    state.stats.qcache_hits += engine.stats.qcache_hits;
-    state.stats.qcache_misses += engine.stats.qcache_misses;
-    state.stats.hoare_checks += proof.stats().hoare_checks;
-    state.stats.proof_size = state.stats.proof_size.max(proof.proof_size());
-    state.stats.interpolation.feasibility_checks += engine.stats.interpolation.feasibility_checks;
-    state.stats.interpolation.sliced_statements += engine.stats.interpolation.sliced_statements;
-    state.stats.interpolation.farkas_chains += engine.stats.interpolation.farkas_chains;
-    (end, rounds)
+    state.stats.add_engines([&engine.stats], proof.proof_size());
+    (end, engine.stats.rounds)
 }
 
 // ---------------------------------------------------------------------------

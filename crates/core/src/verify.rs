@@ -8,19 +8,14 @@
 //! comparison against Ultimate Automizer.
 
 use crate::certify::{CertSpec, Certificate, SpecCert};
-use crate::check::{record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache};
-use crate::engine::TraceHistory;
+use crate::engine::{Engine, EngineStats, RoundOutcome};
 use crate::govern::{panic_reason, Category, GiveUp, GovernorConfig, ResourceGovernor};
-use crate::interpolate::{
-    analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
-};
-use crate::pardfs::{routed_check_proof, ParDfs};
+use crate::interpolate::{InterpolationMode, InterpolationStats};
 use crate::proof::ProofAutomaton;
 use crate::snapshot::program_fingerprint;
-use program::commutativity::{CommutativityLevel, CommutativityOracle};
+use program::commutativity::CommutativityLevel;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::{LockstepOrder, PreferenceOrder, PriorityOrder, RandomOrder, SeqOrder};
-use reduction::persistent::PersistentSets;
 use smt::term::TermPool;
 use smt::SolverKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,14 +79,14 @@ pub struct VerifierConfig {
     pub interpolation: InterpolationMode,
     /// Maximum refinement rounds before giving up.
     pub max_rounds: usize,
-    /// Maximum visited states per proof-check round. One documented
-    /// budget: the DFS and the certificate recording re-walk both stop
-    /// at this bound (each also charges `Category::DfsStates` per state,
-    /// so [`GovernorConfig`] owns the run-wide limit).
+    /// Maximum visited states per proof-check round. The certificate
+    /// recording re-walk gets [`crate::check::RECORD_VISITED_HEADROOM`]×
+    /// as many; both walks also charge `Category::DfsStates` per state,
+    /// so [`GovernorConfig`] owns the run-wide limit.
     pub max_visited_per_round: usize,
-    /// Worker threads for the proof-check DFS inside each engine
-    /// (`--dfs-threads`). `1` (the default) is the sequential Algorithm 2
-    /// path, byte-for-byte.
+    /// Ignored, and always 1. It set the worker count of the parallel
+    /// proof check, which was removed; the field stays because the
+    /// benchmark's traced runner in `perfbench/` asserts that it is 1.
     pub dfs_threads: usize,
     /// Resource governance: deadline, run-wide step budgets and fault
     /// injection. Unlimited by default.
@@ -217,13 +212,6 @@ impl VerifierConfig {
         self.certify = false;
         self
     }
-
-    /// Sets the number of proof-check DFS worker threads
-    /// (`--dfs-threads`); `1` restores the sequential path.
-    pub fn with_dfs_threads(mut self, threads: usize) -> VerifierConfig {
-        self.dfs_threads = threads.max(1);
-        self
-    }
 }
 
 /// Verification verdict.
@@ -283,17 +271,9 @@ pub struct RunStats {
     pub cache_skips: usize,
     /// Useless-cache probes (skips are the hits; misses are the rest).
     pub useless_probes: usize,
-    /// Useless-cache entries at the end of the run (a gauge; for multi-
-    /// engine runs, summed over engines).
+    /// Useless-cache entries at the end of the run: each engine's final
+    /// count, summed over engines (one engine per spec in [`verify`]).
     pub useless_len: usize,
-    /// Work-stealing events between parallel DFS workers
-    /// (`--dfs-threads > 1`; 0 on the sequential path).
-    pub dfs_steals: usize,
-    /// Tasks processed by parallel DFS workers.
-    pub dfs_tasks: usize,
-    /// Tasks processed by the busiest parallel DFS worker in any round —
-    /// `dfs_tasks / (rounds × threads)` vs this gauges load balance.
-    pub dfs_max_worker_tasks: usize,
     /// Wall-clock time of the whole run.
     pub time: Duration,
     /// Interpolation statistics.
@@ -342,6 +322,33 @@ impl RunStats {
         } else {
             self.cache_skips as f64 / self.useless_probes as f64
         }
+    }
+
+    /// Adds the engines that refined one proof to the run totals; every
+    /// driver folds its engines through here. Engines sharing a proof
+    /// (the adaptive portfolio) are passed together, so the proof's
+    /// Hoare-check gauge counts once; `proof_size` is that proof's size.
+    pub(crate) fn add_engines<'a>(
+        &mut self,
+        engines: impl IntoIterator<Item = &'a EngineStats>,
+        proof_size: usize,
+    ) {
+        let mut hoare_checks = 0;
+        for e in engines {
+            self.rounds += e.rounds;
+            self.visited_states += e.visited;
+            self.max_round_visited = self.max_round_visited.max(e.max_round_visited);
+            self.cache_skips += e.cache_skips;
+            self.useless_probes += e.useless_probes;
+            self.useless_len += e.useless_len;
+            self.certs_dropped += e.certs_dropped;
+            self.qcache_hits += e.qcache_hits;
+            self.qcache_misses += e.qcache_misses;
+            self.interpolation.add(&e.interpolation);
+            hoare_checks = hoare_checks.max(e.hoare_checks);
+        }
+        self.hoare_checks += hoare_checks;
+        self.proof_size = self.proof_size.max(proof_size);
     }
 }
 
@@ -413,8 +420,13 @@ pub fn verify_governed(
     let mut spec_certs: Vec<Option<SpecCert>> = Vec::new();
     let mut failed_spec: Option<Spec> = None;
     for spec in specs {
+        // The engine and proof live outside the panic boundary, so a
+        // contained panic still reports the work done before it.
+        let mut engine: Option<Engine> = None;
+        let mut proof = ProofAutomaton::new();
         let (v, cert) = catch_unwind(AssertUnwindSafe(|| {
-            verify_spec(pool, program, spec, config, &mut stats)
+            let engine = engine.insert(Engine::new(pool, program, spec, config));
+            verify_spec(pool, program, config, engine, &mut proof, &mut stats)
         }))
         .unwrap_or_else(|payload| {
             (
@@ -432,6 +444,13 @@ pub fn verify_governed(
                 None,
             )
         });
+        if let Some(engine) = &engine {
+            // `verify` reports the last completed check round's Hoare
+            // count, not a sum over specs.
+            let last_hoare_checks = stats.hoare_checks;
+            stats.add_engines([&engine.stats], proof.proof_size());
+            stats.hoare_checks = last_hoare_checks;
+        }
         match v {
             Verdict::Correct => spec_certs.push(cert),
             other => {
@@ -494,141 +513,34 @@ pub(crate) fn assemble_certificate(
     }
 }
 
+/// Runs `engine`'s refinement rounds on one spec until it concludes.
+/// `stats.hoare_checks` is the last completed check round's count.
 fn verify_spec(
     pool: &mut TermPool,
     program: &Program,
-    spec: Spec,
     config: &VerifierConfig,
+    engine: &mut Engine,
+    proof: &mut ProofAutomaton,
     stats: &mut RunStats,
 ) -> (Verdict, Option<SpecCert>) {
-    let order = config.order.build();
-    let mut oracle = CommutativityOracle::new(config.commutativity);
-    let persistent = config
-        .use_persistent
-        .then(|| PersistentSets::new(pool, program, &mut oracle));
-    let mut proof = ProofAutomaton::new();
-    let mut useless = UselessCache::new();
-    let mut par: Option<ParDfs> = None;
-    let check_config = CheckConfig {
-        use_sleep: config.use_sleep,
-        use_persistent: config.use_persistent,
-        proof_sensitive: config.proof_sensitive,
-        max_visited: config.max_visited_per_round,
-        dfs_threads: config.dfs_threads,
-        freeze_useless: false,
-    };
-    let mut history = TraceHistory::new();
     let governor = pool.governor().clone();
-
     for _round in 0..config.max_rounds {
         if let Err(g) = governor.charge(Category::Rounds) {
             return (Verdict::GaveUp(g), None);
         }
-        stats.rounds += 1;
-        let mut round_stats = CheckStats::default();
-        let result = routed_check_proof(
-            pool,
-            program,
-            spec,
-            order.as_ref(),
-            &mut oracle,
-            persistent.as_ref(),
-            &mut proof,
-            &mut useless,
-            &mut par,
-            &check_config,
-            &mut round_stats,
-        );
-        stats.visited_states += round_stats.visited;
-        stats.max_round_visited = stats.max_round_visited.max(round_stats.visited);
-        stats.cache_skips += round_stats.cache_skips;
-        stats.useless_probes += round_stats.useless_probes;
-        stats.useless_len = round_stats.useless_len;
-        stats.dfs_steals += round_stats.steals;
-        stats.dfs_tasks += round_stats.par_tasks;
-        stats.dfs_max_worker_tasks = stats.dfs_max_worker_tasks.max(round_stats.max_worker_tasks);
-        stats.hoare_checks = proof.stats().hoare_checks;
-        stats.proof_size = stats.proof_size.max(proof.proof_size());
-        match result {
-            CheckResult::Proven => {
-                let cert = if config.certify {
-                    let cert = record_reduction(
-                        pool,
-                        program,
-                        spec,
-                        order.as_ref(),
-                        &mut oracle,
-                        persistent.as_ref(),
-                        &mut proof,
-                        &check_config,
-                    )
-                    .map(|rec| {
-                        SpecCert::from_recorded(
-                            pool,
-                            &proof,
-                            &rec,
-                            spec,
-                            &config.order,
-                            &check_config,
-                        )
-                    });
-                    if cert.is_none() {
-                        stats.certs_dropped += 1;
-                    }
-                    cert
-                } else {
-                    None
-                };
-                return (Verdict::Correct, cert);
-            }
-            CheckResult::LimitReached => {
+        let outcome = engine.round(pool, program, proof);
+        stats.hoare_checks = engine.stats.hoare_checks;
+        match outcome {
+            RoundOutcome::Proven => {
                 return (
-                    Verdict::gave_up(
-                        Category::DfsStates,
-                        format!(
-                            "state budget exhausted ({} states)",
-                            config.max_visited_per_round
-                        ),
-                    ),
-                    None,
+                    Verdict::Correct,
+                    engine.record_spec_cert(pool, program, proof),
                 )
             }
-            CheckResult::Interrupted(g) => return (Verdict::GaveUp(g), None),
-            CheckResult::Counterexample(trace) => {
-                // Any recently seen trace (not just the previous round's)
-                // means the refinement is cycling.
-                if history.record(&trace) {
-                    return (
-                        Verdict::gave_up(Category::NonProgress, "refinement made no progress"),
-                        None,
-                    );
-                }
-                match analyze_trace_with_mode(
-                    pool,
-                    program,
-                    &trace,
-                    spec,
-                    config.interpolation,
-                    &mut stats.interpolation,
-                ) {
-                    TraceResult::Feasible => return (Verdict::Incorrect { trace }, None),
-                    // Attribute to the governor when it is the real cause
-                    // of the undecided feasibility check.
-                    TraceResult::Unknown => {
-                        return (
-                            Verdict::GaveUp(governor.give_up().unwrap_or_else(|| {
-                                GiveUp::new(Category::UnknownTheory, "trace feasibility undecided")
-                            })),
-                            None,
-                        )
-                    }
-                    TraceResult::Infeasible { chain } => {
-                        for a in chain {
-                            proof.add_assertion(a);
-                        }
-                        stats.proof_size = stats.proof_size.max(proof.proof_size());
-                    }
-                }
+            RoundOutcome::Bug(trace) => return (Verdict::Incorrect { trace }, None),
+            RoundOutcome::Refined => {}
+            RoundOutcome::GaveUp(g) | RoundOutcome::Cancelled(g) => {
+                return (Verdict::GaveUp(g), None)
             }
         }
     }

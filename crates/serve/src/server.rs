@@ -87,10 +87,6 @@ pub struct ServeConfig {
     /// Default escalation-ladder retries per request (a request's own
     /// `retries:` option wins).
     pub retries: u32,
-    /// Proof-check DFS worker threads per verification request
-    /// (`--dfs-threads`; default 1 = the sequential path). Verdicts and
-    /// certificates are identical either way.
-    pub dfs_threads: usize,
     /// Crash-point injection plan (`--crash-at SITE:N`): deterministic
     /// `abort()`s at named durability sites, for the crash sweep. The old
     /// `--crash-after N` maps to `post-fsync:N`.
@@ -128,7 +124,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
             retries: 0,
-            dfs_threads: 1,
             crash_plan: Arc::default(),
             journal: true,
             journal_max_ratio: 4.0,
@@ -180,10 +175,8 @@ struct Shared {
     certs_passed: AtomicU64,
     certs_quarantined: AtomicU64,
     certs_dropped: AtomicU64,
-    /// Parallel-DFS and useless-cache counters, aggregated from each
-    /// request's run stats (daemon-wide, like the `certs-*` family).
-    dfs_tasks: AtomicU64,
-    dfs_steals: AtomicU64,
+    /// Useless-cache counters, aggregated from each request's run stats
+    /// (daemon-wide, like the `certs-*` family).
     useless_probes: AtomicU64,
     useless_hits: AtomicU64,
     /// Fingerprints whose stored certificate already cleared the sample
@@ -248,14 +241,6 @@ impl Shared {
             (
                 "certs-dropped".to_owned(),
                 self.certs_dropped.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "dfs-tasks".to_owned(),
-                self.dfs_tasks.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "dfs-steals".to_owned(),
-                self.dfs_steals.load(Ordering::Relaxed).to_string(),
             ),
             (
                 "useless-probes".to_owned(),
@@ -357,8 +342,6 @@ impl Server {
             certs_passed: AtomicU64::new(0),
             certs_quarantined: AtomicU64::new(0),
             certs_dropped: AtomicU64::new(0),
-            dfs_tasks: AtomicU64::new(0),
-            dfs_steals: AtomicU64::new(0),
             useless_probes: AtomicU64::new(0),
             useless_hits: AtomicU64::new(0),
             certs_audited: Mutex::new(HashSet::new()),
@@ -687,7 +670,6 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
     }
 
     let mut config = VerifierConfig::gemcutter_seq();
-    config.dfs_threads = shared.config.dfs_threads;
     let deadline = job.opts.timeout.map_or(shared.config.request_timeout, |t| {
         t.min(shared.config.request_timeout)
     });
@@ -740,12 +722,6 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         interrupt: None,
     };
     let sup = supervised_verify(&mut pool, &program, &config, &scfg);
-    shared
-        .dfs_tasks
-        .fetch_add(sup.outcome.stats.dfs_tasks as u64, Ordering::Relaxed);
-    shared
-        .dfs_steals
-        .fetch_add(sup.outcome.stats.dfs_steals as u64, Ordering::Relaxed);
     shared
         .useless_probes
         .fetch_add(sup.outcome.stats.useless_probes as u64, Ordering::Relaxed);
@@ -1028,7 +1004,7 @@ impl BatchStats {
         format!(
             "batch: served={} ok={} errors={} shed={} store-hits={} hit-rate={:.2} warm-starts={} \
              certs-checked={} certs-passed={} certs-quarantined={} certs-dropped={} \
-             dfs-tasks={} dfs-steals={} useless-probes={} useless-hits={} \
+             useless-probes={} useless-hits={} \
              p50-ms={} p95-ms={} max-ms={} qcache-evictions={}",
             self.served,
             self.ok,
@@ -1041,8 +1017,6 @@ impl BatchStats {
             shared.certs_passed.load(Ordering::Relaxed),
             shared.certs_quarantined.load(Ordering::Relaxed),
             shared.certs_dropped.load(Ordering::Relaxed),
-            shared.dfs_tasks.load(Ordering::Relaxed),
-            shared.dfs_steals.load(Ordering::Relaxed),
             shared.useless_probes.load(Ordering::Relaxed),
             shared.useless_hits.load(Ordering::Relaxed),
             p50,

@@ -53,7 +53,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   seqver verify <file.cpl> [--order seq|lockstep|rand:<seed>] [--config gemcutter|automizer|sleep|persistent]
                            [--no-proof-sensitivity] [--no-qcache] [--solver dpll|cdcl]
-                           [--max-rounds N] [--dfs-threads N] [--portfolio]
+                           [--max-rounds N] [--portfolio]
                            [--parallel] [--deterministic]
                            [--timeout DUR] [--steps CAT=N] [--faults SPEC]
                            [--retries N] [--escalate Fx]
@@ -63,7 +63,7 @@ const USAGE: &str = "usage:
   seqver reduce <file.cpl> [--order seq|lockstep|rand:<seed>] [--dot]
   seqver serve  [--addr HOST:PORT] [--store PATH] [--max-inflight N]
                 [--queue-depth N] [--request-timeout DUR] [--io-timeout DUR]
-                [--idle-timeout DUR] [--retries N] [--dfs-threads N] [--no-journal]
+                [--idle-timeout DUR] [--retries N] [--no-journal]
                 [--journal-max-ratio F] [--crash-at SITE:N] [--crash-after N]
                 [--certify off|structural|sample|full] [--cert-fault SITE:KIND:N]
   seqver submit <file.cpl>... --addr HOST:PORT [--timeout DUR] [--steps CAT=N]
@@ -75,12 +75,6 @@ const USAGE: &str = "usage:
   --solver KIND    SMT boolean search engine: cdcl (default; watched
                    literals, 1UIP learning, incremental simplex) or dpll
                    (the legacy search, kept as the ablation baseline)
-  --dfs-threads N  work-stealing worker threads for each engine's
-                   proof-check DFS (default 1 = the sequential path);
-                   verdicts, traces and round counts are independent of N
-                   (a found counterexample is re-derived sequentially, so
-                   certificates stay byte-identical). Composes with
-                   --portfolio/--parallel (every member gets N workers)
   --portfolio      race the five §8 preference orders sequentially
   --parallel       multi-threaded shared-proof portfolio (one engine per
                    preference order; assertions are exchanged between them)
@@ -129,9 +123,6 @@ serve flags:
   --io-timeout DUR mid-frame stall timeout (slow-loris defense) and socket
                    write timeout (default 2s)
   --idle-timeout DUR  idle connection close (default 30s)
-  --dfs-threads N  proof-check DFS worker threads per verification request
-                   (default 1); verdicts and certificates are identical to
-                   the sequential path
   --no-journal     revert to durably rewriting the whole snapshot per
                    request (ablation baseline; verdicts are identical)
   --journal-max-ratio F  compact once the journal outgrows F x the
@@ -220,7 +211,6 @@ struct Flags {
     qcache: bool,
     solver: SolverKind,
     max_rounds: Option<usize>,
-    dfs_threads: usize,
     portfolio: bool,
     parallel: bool,
     deterministic: bool,
@@ -281,7 +271,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         qcache: true,
         solver: SolverKind::default(),
         max_rounds: None,
-        dfs_threads: 1,
         portfolio: false,
         parallel: false,
         deterministic: false,
@@ -313,14 +302,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--max-rounds" => {
                 let v = it.next().ok_or("--max-rounds needs a value")?;
                 flags.max_rounds = Some(v.parse().map_err(|_| "invalid --max-rounds")?);
-            }
-            "--dfs-threads" => {
-                let v = it.next().ok_or("--dfs-threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| "invalid --dfs-threads")?;
-                if n == 0 {
-                    return Err("--dfs-threads must be at least 1".to_owned());
-                }
-                flags.dfs_threads = n;
             }
             "--portfolio" => flags.portfolio = true,
             "--parallel" => flags.parallel = true,
@@ -392,7 +373,6 @@ fn build_config(flags: &Flags) -> Result<VerifierConfig, String> {
     if let Some(r) = flags.max_rounds {
         config.max_rounds = r;
     }
-    config = config.with_dfs_threads(flags.dfs_threads);
     config.govern = flags.govern.clone();
     Ok(config)
 }
@@ -404,7 +384,6 @@ fn governed_portfolio(flags: &Flags) -> Vec<VerifierConfig> {
         member.govern = flags.govern.clone();
         member.use_qcache = flags.qcache;
         member.solver = flags.solver;
-        member.dfs_threads = flags.dfs_threads;
     }
     members
 }
@@ -669,12 +648,6 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         stats.useless_len,
         stats.time
     );
-    if stats.dfs_tasks > 0 {
-        println!(
-            "dfs_tasks={} dfs_steals={} dfs_max_worker_tasks={}",
-            stats.dfs_tasks, stats.dfs_steals, stats.dfs_max_worker_tasks
-        );
-    }
     if let Some(sup) = &supervision {
         println!(
             "attempts={} recycled={} rounds_skipped={} hit_rate={:.2}",
@@ -794,14 +767,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--retries" => {
                 let v = it.next().ok_or("--retries needs a value")?;
                 config.retries = v.parse().map_err(|_| "invalid --retries")?;
-            }
-            "--dfs-threads" => {
-                let v = it.next().ok_or("--dfs-threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| "invalid --dfs-threads")?;
-                if n == 0 {
-                    return Err("--dfs-threads must be at least 1".to_owned());
-                }
-                config.dfs_threads = n;
             }
             "--no-journal" => config.journal = false,
             "--journal-max-ratio" => {

@@ -4,16 +4,19 @@
 //! ([`adaptive_verify`]) and the multi-threaded parallel portfolio
 //! ([`parallel_verify`], deterministic mode) must never contradict each
 //! other's conclusive verdicts, and every reported bug trace must replay
-//! as feasible under exact trace analysis.
+//! as feasible under exact trace analysis. On one fixed program, every
+//! single-engine driver must also report the same counters.
 
 use proptest::prelude::*;
 use seqver::automata::bitset::BitSet;
 use seqver::automata::dfa::DfaBuilder;
+use seqver::bench_suite;
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
 use seqver::gemcutter::portfolio::{adaptive_verify, parallel_verify, ParallelConfig};
-use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
+use seqver::gemcutter::supervise::{supervised_verify, SuperviseConfig};
+use seqver::gemcutter::verify::{specs_of, verify, RunStats, Verdict, VerifierConfig};
 use seqver::program::concurrent::{LetterId, Program, Spec};
 use seqver::program::stmt::{SimpleStmt, Statement};
 use seqver::program::thread::{Thread, ThreadId};
@@ -219,5 +222,63 @@ proptest! {
                 "{}: cache-off run must not touch the cache", config.name
             );
         }
+    }
+}
+
+/// The counters every single-engine driver must agree on. Query-cache
+/// hits and misses are left out: `verify` attributes them per run, the
+/// other drivers per round.
+fn driver_counters(s: &RunStats) -> [usize; 11] {
+    [
+        s.rounds,
+        s.visited_states,
+        s.max_round_visited,
+        s.cache_skips,
+        s.useless_probes,
+        s.useless_len,
+        s.hoare_checks,
+        s.proof_size,
+        s.interpolation.feasibility_checks,
+        s.interpolation.sliced_statements,
+        s.interpolation.farkas_chains,
+    ]
+}
+
+/// One program and one configuration, run through `verify`,
+/// `supervised_verify` with no retries and a one-member `adaptive_verify`:
+/// each runs the same rounds on one engine, so the counters must match.
+#[test]
+fn single_engine_drivers_report_identical_counters() {
+    let bench = bench_suite::all()
+        .into_iter()
+        .find(|b| b.name == "counter-safe-3")
+        .expect("counter-safe-3 in the suite");
+    let config = VerifierConfig::gemcutter_seq();
+    let run = |driver: &str| {
+        let mut pool = TermPool::new();
+        let program = bench.compile(&mut pool);
+        assert_eq!(specs_of(&program).len(), 1, "the program has one spec");
+        let outcome = match driver {
+            "verify" => verify(&mut pool, &program, &config),
+            "supervised" => {
+                supervised_verify(&mut pool, &program, &config, &SuperviseConfig::default()).outcome
+            }
+            _ => {
+                adaptive_verify(
+                    &mut pool,
+                    &program,
+                    std::slice::from_ref(&config),
+                    config.max_rounds,
+                )
+                .0
+            }
+        };
+        assert_eq!(outcome.verdict, Verdict::Correct, "{driver}");
+        driver_counters(&outcome.stats)
+    };
+    let reference = run("verify");
+    assert!(reference[0] > 1, "the program needs several rounds");
+    for driver in ["supervised", "adaptive"] {
+        assert_eq!(run(driver), reference, "{driver} disagrees with verify");
     }
 }
