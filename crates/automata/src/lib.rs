@@ -34,6 +34,7 @@ pub mod bitset;
 pub mod dfa;
 pub mod dot;
 pub mod explore;
+pub mod fxhash;
 pub mod minimize;
 pub mod nfa;
 pub mod ops;

@@ -14,16 +14,20 @@
 //!   cross-round **useless-state cache**; later rounds skip any state with
 //!   the same `(q, S, ctx)` and a superset of assertions (sound by
 //!   monotonicity of proof-sensitive commutativity, §7.2).
+//!
+//! The walk runs on dense ids of product states and sleep sets, so a state
+//! is a 24-byte `Copy` key; per-state tables are computed once per spec.
 
 use crate::govern::{Category, GiveUp};
 use crate::proof::{ProofAutomaton, ProofStateId};
 use automata::bitset::BitSet;
+use automata::fxhash::{FxHashMap, FxHashSet};
 use program::commutativity::CommutativityOracle;
 use program::concurrent::{LetterId, ProductState, Program, Spec};
 use reduction::order::{OrderContext, PreferenceOrder};
 use reduction::persistent::{MembraneMode, PersistentSets};
 use smt::term::{TermId, TermPool};
-use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 
 /// Result of one proof-check round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,19 +101,18 @@ impl Default for CheckConfig {
 /// Cross-round cache of useless states (§7.2).
 ///
 /// A state is *useless* when no counterexample is reachable from it under
-/// the current (hence any stronger) proof. Entries are bucketed by `q`
-/// and then `ctx`, so the per-visit probe on the DFS hot path borrows its
-/// way to one small bucket — no keys are cloned and no unrelated marked
-/// state is scanned. Within a bucket, a new state is skipped when some
-/// recorded entry has the same sleep set and an assertion subset.
+/// the current (hence any stronger) proof. Entries are bucketed by
+/// `(q, S, ctx)`, so the per-visit probe is one lookup of a `Copy` key.
+/// Within a bucket, a new state is skipped when some recorded entry's
+/// (sorted) proof-assertion indices are a subset of its own.
+///
+/// The cache also owns the walk's memo tables, so ids (and the entries
+/// keyed by them) stay valid across the rounds of one specification.
 #[derive(Clone, Debug, Default)]
 pub struct UselessCache {
-    map: HashMap<ProductState, HashMap<OrderContext, Vec<UselessEntry>>>,
+    tables: Tables,
+    map: FxHashMap<(QId, SleepId, OrderContext), Vec<Vec<u32>>>,
 }
-
-/// One recorded useless state within a `(q, ctx)` bucket: its sleep set
-/// and the (sorted) proof-assertion indices it was useless under.
-type UselessEntry = (BitSet, Vec<u32>);
 
 impl UselessCache {
     /// An empty cache.
@@ -119,11 +122,7 @@ impl UselessCache {
 
     /// Total recorded entries.
     pub fn len(&self) -> usize {
-        self.map
-            .values()
-            .flat_map(|by_ctx| by_ctx.values())
-            .map(Vec::len)
-            .sum()
+        self.map.values().map(Vec::len).sum()
     }
 
     /// `true` if no entries are recorded.
@@ -131,40 +130,20 @@ impl UselessCache {
         self.map.is_empty()
     }
 
-    pub(crate) fn is_useless(
-        &self,
-        q: &ProductState,
-        sleep: &BitSet,
-        ctx: OrderContext,
-        assertions: &[u32],
-    ) -> bool {
+    fn is_useless(&self, q: QId, sleep: SleepId, ctx: OrderContext, assertions: &[u32]) -> bool {
         self.map
-            .get(q)
-            .and_then(|by_ctx| by_ctx.get(&ctx))
-            .is_some_and(|entries| {
-                entries
-                    .iter()
-                    .any(|(s, set)| s == sleep && is_subset(set, assertions))
-            })
+            .get(&(q, sleep, ctx))
+            .is_some_and(|sets| sets.iter().any(|set| is_subset(set, assertions)))
     }
 
-    pub(crate) fn mark(
-        &mut self,
-        q: ProductState,
-        sleep: BitSet,
-        ctx: OrderContext,
-        assertions: Vec<u32>,
-    ) {
-        let entry = self.map.entry(q).or_default().entry(ctx).or_default();
-        // Keep only minimal sets per sleep set.
-        if entry
-            .iter()
-            .any(|(s, set)| *s == sleep && is_subset(set, &assertions))
-        {
+    fn mark(&mut self, q: QId, sleep: SleepId, ctx: OrderContext, assertions: &[u32]) {
+        let sets = self.map.entry((q, sleep, ctx)).or_default();
+        // Keep only minimal sets.
+        if sets.iter().any(|set| is_subset(set, assertions)) {
             return;
         }
-        entry.retain(|(s, set)| !(*s == sleep && is_subset(&assertions, set)));
-        entry.push((sleep, assertions));
+        sets.retain(|set| !is_subset(assertions, set));
+        sets.push(assertions.to_vec());
     }
 }
 
@@ -194,15 +173,107 @@ enum VisitStatus {
     DoneTainted,
 }
 
-/// A DFS state `(q, Φ, S, ctx)`.
-type Key = (ProductState, ProofStateId, BitSet, OrderContext);
+/// Dense id of an interned product state.
+type QId = u32;
+/// Dense id of an interned sleep set.
+type SleepId = u32;
+
+/// A DFS state `(q, Φ, S, ctx)`, with `q` and `S` interned.
+type Key = (QId, ProofStateId, SleepId, OrderContext);
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+const _: fn(Key) -> (Key, Key) = |key| (key, key); // `Key` is `Copy`
+
+/// The dense id of `item` in `ids`, and whether it is new.
+fn intern<T: Clone + Eq + Hash>(ids: &mut FxHashMap<T, u32>, item: &T) -> (u32, bool) {
+    if let Some(&id) = ids.get(item) {
+        return (id, false);
+    }
+    let id = ids.len() as u32;
+    ids.insert(item.clone(), id);
+    (id, true)
+}
+
+/// What the walk knows of an interned product state.
+#[derive(Clone, Debug)]
+struct StateInfo {
+    state: ProductState,
+    /// Enabled letters, in increasing order.
+    enabled: Box<[LetterId]>,
+    /// The successor under each enabled letter; `QId::MAX` until taken.
+    succ: Box<[QId]>,
+    /// The rank-sorted membrane of each order context met so far.
+    membranes: Vec<(OrderContext, Box<[LetterId]>)>,
+}
+
+/// What the commutation table knows of an ordered letter pair: `Always`
+/// commute (unconditionally), `Never` commute (same thread), `Ask` the
+/// oracle under each condition, or `Unknown` until the oracle first answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pair {
+    Unknown,
+    Always,
+    Never,
+    Ask,
+}
+
+/// The walk's memo tables: interned product states and sleep sets, what
+/// is known of each product state, and the commutation table.
+#[derive(Clone, Debug, Default)]
+struct Tables {
+    state_ids: FxHashMap<ProductState, QId>,
+    states: Vec<StateInfo>,
+    sleep_ids: FxHashMap<BitSet, SleepId>,
+    sleeps: Vec<BitSet>,
+    /// `commute[a · |Σ| + b]`, sized by the first walk.
+    commute: Vec<Pair>,
+}
+
+impl Tables {
+    fn state(&mut self, program: &Program, q: &ProductState) -> QId {
+        let (id, fresh) = intern(&mut self.state_ids, q);
+        if fresh {
+            let enabled: Box<[LetterId]> = program.enabled(q).into();
+            self.states.push(StateInfo {
+                state: q.clone(),
+                succ: vec![QId::MAX; enabled.len()].into(),
+                enabled,
+                membranes: Vec::new(),
+            });
+        }
+        id
+    }
+
+    fn sleep(&mut self, sleep: &BitSet) -> SleepId {
+        let (id, fresh) = intern(&mut self.sleep_ids, sleep);
+        if fresh {
+            self.sleeps.push(sleep.clone());
+        }
+        id
+    }
+
+    /// `δ(q, a)` of the interleaving product, memoized.
+    fn step(&mut self, program: &Program, q: QId, a: LetterId) -> QId {
+        let info = &self.states[q as usize];
+        let i = info
+            .enabled
+            .binary_search(&a)
+            .expect("explored letter is enabled");
+        if info.succ[i] == QId::MAX {
+            let next = program
+                .step(&info.state, a)
+                .expect("explored letter is enabled");
+            self.states[q as usize].succ[i] = self.state(program, &next);
+        }
+        self.states[q as usize].succ[i]
+    }
+}
 
 struct Frame {
     key: Key,
     /// Letter taken from the parent to reach this frame.
     via: Option<LetterId>,
-    explore: Vec<LetterId>,
-    enabled: Vec<LetterId>,
+    /// Index of the state's membrane in its [`StateInfo`].
+    membrane: u32,
     next: usize,
     tainted: bool,
 }
@@ -235,30 +306,36 @@ struct Dfs<'a, R> {
     proof: &'a mut ProofAutomaton,
     config: &'a CheckConfig,
     recorder: &'a mut R,
+    /// The memo tables, and the useless-state marks if the walk uses them.
+    cache: &'a mut UselessCache,
+    /// Scratch space for the next sleep set.
+    sleep: BitSet,
 }
 
 impl<R: Recorder> Dfs<'_, R> {
     /// The one proof-check DFS. It walks from `(q0, phi0, ∅, 0)` and stops
     /// at the first uncovered accepting state, after `max_visited` states,
-    /// or when the governor trips. With a `useless` cache it skips states
-    /// the cache subsumes and marks cleanly explored ones.
+    /// or when the governor trips. With `useless` on it skips states the
+    /// cache subsumes and marks cleanly explored ones.
     fn run(
         &mut self,
         phi0: ProofStateId,
-        mut useless: Option<&mut UselessCache>,
+        useless: bool,
         max_visited: usize,
         stats: &mut CheckStats,
     ) -> CheckResult {
         let governor = self.pool.governor().clone();
-        let mut visited: HashMap<Key, VisitStatus> = HashMap::new();
+        let n = self.program.num_letters();
+        if self.cache.tables.commute.len() != n * n {
+            self.cache.tables.commute = vec![Pair::Unknown; n * n];
+        }
+        let mut visited: FxHashMap<Key, VisitStatus> = FxHashMap::default();
         let mut stack: Vec<Frame> = Vec::new();
-        let root: Key = (
-            self.program.initial_state(),
-            phi0,
-            BitSet::new(self.program.num_letters()),
-            0,
-        );
-        if self.skips(useless.as_deref(), &root, stats) {
+        let initial = self.program.initial_state();
+        let q0 = self.cache.tables.state(self.program, &initial);
+        let empty = self.cache.tables.sleep(&BitSet::new(n));
+        let root: Key = (q0, phi0, empty, 0);
+        if useless && self.skips(root, stats) {
             return CheckResult::Proven;
         }
         if let Some(trace) = self.discover(root, None, &mut visited, &mut stack, stats) {
@@ -275,7 +352,7 @@ impl<R: Recorder> Dfs<'_, R> {
             if let Err(give_up) = governor.charge(Category::DfsStates) {
                 return CheckResult::Interrupted(give_up);
             }
-            if frame.next >= frame.explore.len() {
+            let Some(a) = self.next_letter(frame) else {
                 // Subtree done: pop, record, propagate taint.
                 let frame = stack.pop().expect("frame exists");
                 let status = if frame.tainted {
@@ -284,23 +361,17 @@ impl<R: Recorder> Dfs<'_, R> {
                     }
                     VisitStatus::DoneTainted
                 } else {
-                    if let Some(useless) = useless.as_deref_mut() {
-                        let (q, phi, sleep, ctx) = &frame.key;
-                        useless.mark(
-                            q.clone(),
-                            sleep.clone(),
-                            *ctx,
-                            self.proof.assertion_set(*phi).to_vec(),
-                        );
+                    if useless {
+                        let (q, phi, sleep, ctx) = frame.key;
+                        let set = self.proof.assertion_set(phi);
+                        self.cache.mark(q, sleep, ctx, set);
                     }
                     VisitStatus::DoneClean
                 };
                 visited.insert(frame.key, status);
                 continue;
-            }
-            let a = frame.explore[frame.next];
-            frame.next += 1;
-            let next = self.successor(frame, a);
+            };
+            let next = self.successor(frame.key, a);
             match visited.get(&next) {
                 Some(VisitStatus::OnStack | VisitStatus::DoneTainted) => {
                     frame.tainted = true;
@@ -309,7 +380,7 @@ impl<R: Recorder> Dfs<'_, R> {
                 Some(VisitStatus::DoneClean) => continue,
                 None => {}
             }
-            if self.skips(useless.as_deref(), &next, stats) {
+            if useless && self.skips(next, stats) {
                 visited.insert(next, VisitStatus::DoneClean);
                 continue;
             }
@@ -320,14 +391,13 @@ impl<R: Recorder> Dfs<'_, R> {
         CheckResult::Proven
     }
 
-    /// Probes the cross-round useless-state cache, if there is one.
-    fn skips(&self, useless: Option<&UselessCache>, key: &Key, stats: &mut CheckStats) -> bool {
-        let Some(useless) = useless else {
-            return false;
-        };
+    /// Probes the cross-round useless-state cache.
+    fn skips(&self, key: Key, stats: &mut CheckStats) -> bool {
         let (q, phi, sleep, ctx) = key;
         stats.useless_probes += 1;
-        let skip = useless.is_useless(q, sleep, *ctx, self.proof.assertion_set(*phi));
+        let skip = self
+            .cache
+            .is_useless(q, sleep, ctx, self.proof.assertion_set(phi));
         stats.cache_skips += usize::from(skip);
         skip
     }
@@ -339,90 +409,136 @@ impl<R: Recorder> Dfs<'_, R> {
         &mut self,
         key: Key,
         via: Option<LetterId>,
-        visited: &mut HashMap<Key, VisitStatus>,
+        visited: &mut FxHashMap<Key, VisitStatus>,
         stack: &mut Vec<Frame>,
         stats: &mut CheckStats,
     ) -> Option<Vec<LetterId>> {
         stats.visited += 1;
-        let (q, phi, sleep, ctx) = &key;
+        let (q, phi, _, ctx) = key;
         // Covered: the prefix is already proven infeasible.
-        if self.proof.is_bottom(self.pool, *phi) {
-            self.recorder.bottom(*phi);
+        if self.proof.is_bottom(self.pool, phi) {
+            self.recorder.bottom(phi);
             visited.insert(key, VisitStatus::DoneClean);
             return None;
         }
-        if self.program.is_accepting(q, self.spec) {
+        if self
+            .program
+            .is_accepting(&self.cache.tables.states[q as usize].state, self.spec)
+        {
             let safe = match self.spec {
                 Spec::ErrorOf(_) => false, // reachable error, not refuted
-                Spec::PrePost => self
-                    .proof
-                    .implies_post(self.pool, *phi, self.program.post()),
+                Spec::PrePost => self.proof.implies_post(self.pool, phi, self.program.post()),
             };
             if !safe {
                 return Some(stack.iter().filter_map(|f| f.via).chain(via).collect());
             }
-            self.recorder.safe(*phi);
+            self.recorder.safe(phi);
             visited.insert(key, VisitStatus::DoneClean);
             return None;
         }
-        let enabled = self.program.enabled(q);
-        let mut explore: Vec<LetterId> = match self.persistent {
-            Some(ps) => {
-                let mode = match self.spec {
-                    Spec::PrePost => MembraneMode::Terminal,
-                    Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
-                };
-                ps.compute(self.program, q, self.order, *ctx, mode)
-            }
-            None => enabled.clone(),
-        };
-        if self.config.use_sleep {
-            explore.retain(|l| !sleep.contains(l.index()));
-        }
-        // Deterministic DFS order: most preferred letter first.
-        explore.sort_by_key(|&l| self.order.rank(*ctx, l, self.program));
-        visited.insert(key.clone(), VisitStatus::OnStack);
+        let membrane = self.membrane(q, ctx);
+        visited.insert(key, VisitStatus::OnStack);
         stack.push(Frame {
             key,
             via,
-            explore,
-            enabled,
+            membrane,
             next: 0,
             tainted: false,
         });
         None
     }
 
-    /// The successor of `frame`'s state under `a`. Its sleep set holds the
+    /// The index of `q`'s membrane in context `ctx`, computed on first use:
+    /// the letters to explore, most preferred first.
+    fn membrane(&mut self, q: QId, ctx: OrderContext) -> u32 {
+        let info = &self.cache.tables.states[q as usize];
+        if let Some(i) = info.membranes.iter().position(|&(c, _)| c == ctx) {
+            return i as u32;
+        }
+        let mut letters = match self.persistent {
+            Some(ps) => {
+                let mode = match self.spec {
+                    Spec::PrePost => MembraneMode::Terminal,
+                    Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
+                };
+                ps.compute(self.program, &info.state, self.order, ctx, mode)
+            }
+            None => info.enabled.to_vec(),
+        };
+        letters.sort_by_key(|&l| self.order.rank(ctx, l, self.program));
+        let membranes = &mut self.cache.tables.states[q as usize].membranes;
+        membranes.push((ctx, letters.into()));
+        membranes.len() as u32 - 1
+    }
+
+    /// The frame's next membrane letter that is not asleep.
+    fn next_letter(&self, frame: &mut Frame) -> Option<LetterId> {
+        let (q, _, sleep, _) = frame.key;
+        let membrane = &self.cache.tables.states[q as usize].membranes[frame.membrane as usize].1;
+        let sleep = &self.cache.tables.sleeps[sleep as usize];
+        while let Some(&a) = membrane.get(frame.next) {
+            frame.next += 1;
+            if !sleep.contains(a.index()) {
+                return Some(a);
+            }
+        }
+        None
+    }
+
+    /// The successor of state `key` under `a`. Its sleep set holds the
     /// enabled letters that were asleep or preferred over `a` and commute
     /// with `a` (under `⋀Φ` when proof-sensitive).
-    fn successor(&mut self, frame: &Frame, a: LetterId) -> Key {
-        let (q, phi, sleep, ctx) = &frame.key;
-        let (phi, ctx) = (*phi, *ctx);
-        let next_q = self.program.step(q, a).expect("explored letter is enabled");
+    fn successor(&mut self, key: Key, a: LetterId) -> Key {
+        let (q, phi, sleep, ctx) = key;
+        let next_q = self.cache.tables.step(self.program, q, a);
         let next_phi = self.proof.step(self.pool, self.program, phi, a);
         let next_ctx = self.order.step(ctx, a, self.program);
         self.recorder.edge(phi, a, next_phi);
-        let mut next_sleep = BitSet::new(self.program.num_letters());
+        self.sleep.clear();
         if self.config.use_sleep {
             let condition: TermId = if self.config.proof_sensitive {
                 self.proof.conjunction(phi)
             } else {
                 TermPool::TRUE
             };
-            for &b in &frame.enabled {
-                let earlier = sleep.contains(b.index()) || self.order.less(ctx, b, a, self.program);
-                if earlier
-                    && self
-                        .oracle
-                        .commute_under(self.pool, self.program, condition, a, b)
-                {
-                    next_sleep.insert(b.index());
+            for i in 0..self.cache.tables.states[q as usize].enabled.len() {
+                let b = self.cache.tables.states[q as usize].enabled[i];
+                let earlier = self.cache.tables.sleeps[sleep as usize].contains(b.index())
+                    || self.order.less(ctx, b, a, self.program);
+                if earlier && self.commutes(condition, a, b) {
+                    self.sleep.insert(b.index());
                     self.recorder.commutes(a, b, phi);
                 }
             }
         }
+        let next_sleep = self.cache.tables.sleep(&self.sleep);
         (next_q, next_phi, next_sleep, next_ctx)
+    }
+
+    /// `a ↷↷_φ b` for `φ = condition`. The commutation table answers
+    /// same-thread and unconditionally commuting pairs, filled from the
+    /// oracle's cached answers; only the other pairs reach the oracle.
+    fn commutes(&mut self, condition: TermId, a: LetterId, b: LetterId) -> bool {
+        let slot = a.index() * self.program.num_letters() + b.index();
+        match self.cache.tables.commute[slot] {
+            Pair::Always => true,
+            Pair::Never => false,
+            Pair::Ask => self
+                .oracle
+                .commute_under(self.pool, self.program, condition, a, b),
+            Pair::Unknown => {
+                let result = self
+                    .oracle
+                    .commute_under(self.pool, self.program, condition, a, b);
+                self.cache.tables.commute[slot] = match self.oracle.cached(a, b) {
+                    _ if self.program.thread_of(a) == self.program.thread_of(b) => Pair::Never,
+                    Some(true) => Pair::Always,
+                    Some(false) => Pair::Ask,
+                    None => Pair::Unknown,
+                };
+                result
+            }
+        }
     }
 }
 
@@ -462,8 +578,10 @@ pub fn check_proof(
         proof,
         config,
         recorder: &mut (),
+        cache: useless,
+        sleep: BitSet::new(program.num_letters()),
     }
-    .run(phi0, Some(useless), config.max_visited, stats);
+    .run(phi0, true, config.max_visited, stats);
     stats.useless_len = useless.len();
     result
 }
@@ -494,15 +612,22 @@ pub struct RecordedReduction {
     pub ucommute: Vec<(LetterId, LetterId)>,
 }
 
-/// The certificate recorder: the facts of one walk, sorted and deduplicated.
+/// The certificate recorder: the facts of one walk, deduplicated, and
+/// sorted once the walk ends.
 #[derive(Default)]
 struct Recording {
     proof_sensitive: bool,
-    edges: BTreeSet<(ProofStateId, LetterId, ProofStateId)>,
-    bottoms: BTreeSet<ProofStateId>,
-    safes: BTreeSet<ProofStateId>,
-    claims: BTreeSet<(LetterId, LetterId, ProofStateId)>,
-    ucommute: BTreeSet<(LetterId, LetterId)>,
+    edges: FxHashSet<(ProofStateId, LetterId, ProofStateId)>,
+    bottoms: FxHashSet<ProofStateId>,
+    safes: FxHashSet<ProofStateId>,
+    claims: FxHashSet<(LetterId, LetterId, ProofStateId)>,
+    ucommute: FxHashSet<(LetterId, LetterId)>,
+}
+
+fn sorted<T: Ord>(set: FxHashSet<T>) -> Vec<T> {
+    let mut items: Vec<T> = set.into_iter().collect();
+    items.sort_unstable();
+    items
 }
 
 impl Recorder for Recording {
@@ -591,26 +716,29 @@ pub fn record_reduction(
         proof,
         config,
         recorder: &mut rec,
+        cache: &mut UselessCache::new(),
+        sleep: BitSet::new(program.num_letters()),
     }
     .run(
         initial,
-        None,
+        false,
         config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM),
         &mut CheckStats::default(),
     );
     (result == CheckResult::Proven).then(|| RecordedReduction {
         initial,
-        edges: rec.edges.into_iter().collect(),
-        bottoms: rec.bottoms.into_iter().collect(),
-        safes: rec.safes.into_iter().collect(),
-        claims: rec.claims.into_iter().collect(),
-        ucommute: rec.ucommute.into_iter().collect(),
+        edges: sorted(rec.edges),
+        bottoms: sorted(rec.bottoms),
+        safes: sorted(rec.safes),
+        claims: sorted(rec.claims),
+        ucommute: sorted(rec.ucommute),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use program::commutativity::CommutativityLevel;
 
     #[test]
     fn subset_test() {
@@ -625,18 +753,70 @@ mod tests {
     #[test]
     fn useless_cache_subsumption() {
         let mut c = UselessCache::new();
-        let q = ProductState(vec![automata::dfa::StateId(0)]);
-        let s = BitSet::new(4);
-        c.mark(q.clone(), s.clone(), 0, vec![1, 2]);
-        assert!(c.is_useless(&q, &s, 0, &[1, 2, 3]), "superset is skipped");
-        assert!(c.is_useless(&q, &s, 0, &[1, 2]));
-        assert!(!c.is_useless(&q, &s, 0, &[1]), "subset is not skipped");
-        assert!(!c.is_useless(&q, &s, 1, &[1, 2]), "different context");
+        c.mark(0, 0, 0, &[1, 2]);
+        assert!(c.is_useless(0, 0, 0, &[1, 2, 3]), "superset is skipped");
+        assert!(c.is_useless(0, 0, 0, &[1, 2]));
+        assert!(!c.is_useless(0, 0, 0, &[1]), "subset is not skipped");
+        assert!(!c.is_useless(0, 0, 1, &[1, 2]), "different context");
+        assert!(!c.is_useless(0, 1, 0, &[1, 2]), "different sleep set");
+        assert!(!c.is_useless(1, 0, 0, &[1, 2]), "different product state");
         // Marking a superset is a no-op; marking a subset replaces.
-        c.mark(q.clone(), s.clone(), 0, vec![1, 2, 3]);
+        c.mark(0, 0, 0, &[1, 2, 3]);
         assert_eq!(c.len(), 1);
-        c.mark(q.clone(), s.clone(), 0, vec![1]);
+        c.mark(0, 0, 0, &[1]);
         assert_eq!(c.len(), 1);
-        assert!(c.is_useless(&q, &s, 0, &[1]));
+        assert!(c.is_useless(0, 0, 0, &[1]));
+    }
+
+    #[test]
+    fn ids_are_dense_and_stable_across_rounds() {
+        use crate::interpolate::{analyze_trace_with_mode, InterpolationMode, TraceResult};
+        let mut pool = TermPool::new();
+        let source = include_str!("../../../examples/cpl/counter.cpl");
+        let program = cpl::compile(source, &mut pool).expect("compiles");
+        let spec = Spec::ErrorOf(program.asserting_threads()[0]);
+        let mut oracle = CommutativityOracle::new(CommutativityLevel::Semantic);
+        let (mut proof, mut useless) = (ProofAutomaton::new(), UselessCache::new());
+        let mut rounds: Vec<(Vec<ProductState>, Vec<BitSet>)> = Vec::new();
+        loop {
+            let (order, config) = (reduction::order::SeqOrder, CheckConfig::default());
+            let result = check_proof(
+                &mut pool,
+                &program,
+                spec,
+                &order,
+                &mut oracle,
+                None,
+                &mut proof,
+                &mut useless,
+                &config,
+                &mut CheckStats::default(),
+            );
+            let t = &useless.tables;
+            let states: Vec<ProductState> = t.states.iter().map(|i| i.state.clone()).collect();
+            let dense = |q: &ProductState, id| t.state_ids[q] == id as u32;
+            assert!(states.iter().enumerate().all(|(id, q)| dense(q, id)));
+            assert!((t.sleeps.iter().enumerate()).all(|(id, s)| t.sleep_ids[s] == id as u32));
+            assert_eq!(
+                (t.state_ids.len(), t.sleep_ids.len()),
+                (states.len(), t.sleeps.len())
+            );
+            if let Some((old_states, old_sleeps)) = rounds.last() {
+                assert!(states.starts_with(old_states) && t.sleeps.starts_with(old_sleeps));
+            }
+            rounds.push((states, t.sleeps.clone()));
+            let CheckResult::Counterexample(trace) = result else {
+                break;
+            };
+            let (mode, stats) = (InterpolationMode::SpChain, &mut Default::default());
+            match analyze_trace_with_mode(&mut pool, &program, &trace, spec, mode, stats) {
+                TraceResult::Infeasible { chain } => chain.into_iter().for_each(|a| {
+                    proof.add_assertion(a);
+                }),
+                other => panic!("counter.cpl is safe: {other:?}"),
+            }
+        }
+        let (first, last) = (&rounds[0], &rounds[rounds.len() - 1]);
+        assert!(rounds.len() >= 2 && last.0.len() > first.0.len() && last.1.len() > 1);
     }
 }

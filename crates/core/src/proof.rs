@@ -8,6 +8,7 @@
 //! rather than recomputed (each cache entry remembers how many assertions
 //! it has examined).
 
+use automata::fxhash::FxHashMap;
 use program::concurrent::{LetterId, Program};
 use smt::linear::VarId;
 use smt::solver::{check, AssertionScope};
@@ -56,15 +57,15 @@ pub struct ProofAutomaton {
     assertions: Vec<TermId>,
     assertion_index: HashMap<TermId, u32>,
     states: Vec<ProofState>,
-    state_interner: HashMap<Vec<u32>, ProofStateId>,
+    state_interner: FxHashMap<Vec<u32>, ProofStateId>,
     /// (state, letter) → (successor, number of assertions examined).
-    transitions: HashMap<(ProofStateId, LetterId), (ProofStateId, usize)>,
+    transitions: FxHashMap<(ProofStateId, LetterId), (ProofStateId, usize)>,
     /// Per-letter relation, built once.
     relations: HashMap<LetterId, LetterRelation>,
     /// Canonical primed variable per program variable.
     primed_vars: HashMap<VarId, VarId>,
     /// ψ renamed to primed vars, memoized per (letter, ψ).
-    renamed_post: HashMap<(LetterId, TermId), TermId>,
+    renamed_post: FxHashMap<(LetterId, TermId), TermId>,
     /// Initial-state memo per (init∧pre formula, assertions examined).
     initial_cache: Option<(TermId, ProofStateId, usize)>,
     stats: ProofStats,
@@ -77,11 +78,11 @@ impl ProofAutomaton {
             assertions: Vec::new(),
             assertion_index: HashMap::new(),
             states: Vec::new(),
-            state_interner: HashMap::new(),
-            transitions: HashMap::new(),
+            state_interner: FxHashMap::default(),
+            transitions: FxHashMap::default(),
             relations: HashMap::new(),
             primed_vars: HashMap::new(),
-            renamed_post: HashMap::new(),
+            renamed_post: FxHashMap::default(),
             initial_cache: None,
             stats: ProofStats::default(),
         }

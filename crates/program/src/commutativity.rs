@@ -14,6 +14,7 @@
 
 use crate::concurrent::{LetterId, Program};
 use crate::stmt::compose_relation;
+use automata::fxhash::FxHashMap;
 use smt::cube::Dnf;
 use smt::linear::VarId;
 use smt::solver::check;
@@ -56,8 +57,8 @@ pub struct CommutativityStats {
 #[derive(Clone, Debug)]
 pub struct CommutativityOracle {
     level: CommutativityLevel,
-    unconditional: HashMap<(LetterId, LetterId), bool>,
-    conditional: HashMap<(LetterId, LetterId, TermId), bool>,
+    unconditional: FxHashMap<(LetterId, LetterId), bool>,
+    conditional: FxHashMap<(LetterId, LetterId, TermId), bool>,
     primed: HashMap<VarId, VarId>,
     stats: CommutativityStats,
 }
@@ -67,8 +68,8 @@ impl CommutativityOracle {
     pub fn new(level: CommutativityLevel) -> CommutativityOracle {
         CommutativityOracle {
             level,
-            unconditional: HashMap::new(),
-            conditional: HashMap::new(),
+            unconditional: FxHashMap::default(),
+            conditional: FxHashMap::default(),
             primed: HashMap::new(),
             stats: CommutativityStats::default(),
         }
@@ -98,6 +99,12 @@ impl CommutativityOracle {
         self.commute_under(pool, program, TermPool::TRUE, a, b)
     }
 
+    /// The cached answer of the unconditional query `a ↷↷ b`, if any
+    /// query has settled it. Answers no query and counts nothing.
+    pub fn cached(&self, a: LetterId, b: LetterId) -> Option<bool> {
+        self.unconditional.get(&(a.min(b), a.max(b))).copied()
+    }
+
     /// Conditional commutativity `a ↷↷_φ b` (Def. 7.3). Monotone: anything
     /// commuting under `true` commutes under every φ.
     pub fn commute_under(
@@ -117,23 +124,26 @@ impl CommutativityOracle {
             if r {
                 return true; // monotone in φ
             }
-            if phi == TermPool::TRUE {
+            if phi == TermPool::TRUE || self.level == CommutativityLevel::Syntactic {
                 return false;
             }
-        }
-        // Syntactic check (condition-independent).
-        let sa = program.statement(a);
-        let sb = program.statement(b);
-        let disjoint = sa.writes().iter().all(|w| !sb.accesses().contains(w))
-            && sb.writes().iter().all(|w| !sa.accesses().contains(w));
-        if disjoint {
-            self.stats.syntactic_hits += 1;
-            self.unconditional.insert(key, true);
-            return true;
-        }
-        if self.level == CommutativityLevel::Syntactic {
-            self.unconditional.insert(key, false);
-            return false;
+            // Cached as non-commuting, so the syntactic check already
+            // failed: go straight to the conditional check.
+        } else {
+            // Syntactic check (condition-independent), once per pair.
+            let sa = program.statement(a);
+            let sb = program.statement(b);
+            let disjoint = sa.writes().iter().all(|w| !sb.accesses().contains(w))
+                && sb.writes().iter().all(|w| !sa.accesses().contains(w));
+            if disjoint {
+                self.stats.syntactic_hits += 1;
+                self.unconditional.insert(key, true);
+                return true;
+            }
+            if self.level == CommutativityLevel::Syntactic {
+                self.unconditional.insert(key, false);
+                return false;
+            }
         }
         // Semantic check, possibly conditional.
         let ckey = (key.0, key.1, phi);
@@ -363,51 +373,54 @@ mod tests {
         assert!(!sem.commute(&mut pool, &program, LetterId(0), LetterId(1)));
     }
 
-    #[test]
-    fn conditional_commutativity_enter_vs_exit() {
-        // The §2 example: enter (pendingIo += 1) vs the exit block
-        // (pendingIo -= 1; if pendingIo == 0 then stoppingEvent := true).
-        // They do NOT commute unconditionally (the exit may or may not set
-        // the event depending on order), but they DO commute under
-        // pendingIo > 1.
-        let mut pool = TermPool::new();
+    /// The §2 example: enter (pendingIo += 1) vs the exit block
+    /// (pendingIo -= 1; if pendingIo == 0 then stoppingEvent := true).
+    /// They do NOT commute unconditionally (the exit may or may not set
+    /// the event depending on order), but they DO commute under
+    /// pendingIo > 1.
+    fn enter_exit_program(pool: &mut TermPool) -> Program {
         let p = pool.var("pendingIo");
         let ev = pool.var("stoppingEvent");
-        let program = {
-            let mut b = Program::builder("bt");
-            b.add_global(p, 1);
-            b.add_global(ev, 0);
-            let enter = b.add_statement(Statement::simple(
-                ThreadId(0),
-                "enter",
-                SimpleStmt::Assign(p, LinExpr::var(p).add(&LinExpr::constant(1))),
-                &pool,
-            ));
-            let p_zero = pool.eq_const(p, 0);
-            let p_nonzero = pool.not(p_zero);
-            let dec = LinExpr::var(p).sub(&LinExpr::constant(1));
-            let exit = b.add_statement(Statement::atomic(
-                ThreadId(1),
-                "exit",
+        let mut b = Program::builder("bt");
+        b.add_global(p, 1);
+        b.add_global(ev, 0);
+        let enter = b.add_statement(Statement::simple(
+            ThreadId(0),
+            "enter",
+            SimpleStmt::Assign(p, LinExpr::var(p).add(&LinExpr::constant(1))),
+            pool,
+        ));
+        let p_zero = pool.eq_const(p, 0);
+        let p_nonzero = pool.not(p_zero);
+        let dec = LinExpr::var(p).sub(&LinExpr::constant(1));
+        let exit = b.add_statement(Statement::atomic(
+            ThreadId(1),
+            "exit",
+            vec![
                 vec![
-                    vec![
-                        SimpleStmt::Assign(p, dec.clone()),
-                        SimpleStmt::Assume(p_zero),
-                        SimpleStmt::Assign(ev, LinExpr::constant(1)),
-                    ],
-                    vec![SimpleStmt::Assign(p, dec), SimpleStmt::Assume(p_nonzero)],
+                    SimpleStmt::Assign(p, dec.clone()),
+                    SimpleStmt::Assume(p_zero),
+                    SimpleStmt::Assign(ev, LinExpr::constant(1)),
                 ],
-                &pool,
-            ));
-            for l in [enter, exit] {
-                let mut cfg = DfaBuilder::new();
-                let e0 = cfg.add_state(false);
-                let e1 = cfg.add_state(true);
-                cfg.add_transition(e0, l, e1);
-                b.add_thread(Thread::new("t", cfg.build(e0), BitSet::new(2)));
-            }
-            b.build(&mut pool)
-        };
+                vec![SimpleStmt::Assign(p, dec), SimpleStmt::Assume(p_nonzero)],
+            ],
+            pool,
+        ));
+        for l in [enter, exit] {
+            let mut cfg = DfaBuilder::new();
+            let e0 = cfg.add_state(false);
+            let e1 = cfg.add_state(true);
+            cfg.add_transition(e0, l, e1);
+            b.add_thread(Thread::new("t", cfg.build(e0), BitSet::new(2)));
+        }
+        b.build(pool)
+    }
+
+    #[test]
+    fn conditional_commutativity_enter_vs_exit() {
+        let mut pool = TermPool::new();
+        let program = enter_exit_program(&mut pool);
+        let p = pool.var("pendingIo");
         let mut oracle = CommutativityOracle::new(CommutativityLevel::Semantic);
         assert!(
             !oracle.commute(&mut pool, &program, LetterId(0), LetterId(1)),
@@ -423,4 +436,45 @@ mod tests {
         assert!(oracle.commute_under(&mut pool, &program, gt1, LetterId(0), LetterId(1)));
         assert!(oracle.stats().cache_hits > stats_before.cache_hits);
     }
+
+    #[test]
+    fn repeated_queries_keep_results_and_counters() {
+        // Each level sees the same query sequence three times. The answers
+        // must repeat, and the counters must match those of the oracle
+        // that re-ran the syntactic check on every query of a pair cached
+        // as non-commuting: skipping that check changes no counter.
+        for (level, expected) in [
+            (CommutativityLevel::Semantic, EXPECTED_SEMANTIC),
+            (CommutativityLevel::Syntactic, EXPECTED_SYNTACTIC),
+        ] {
+            let mut pool = TermPool::new();
+            let program = enter_exit_program(&mut pool);
+            let p = pool.var("pendingIo");
+            let conditions = [TermPool::TRUE, pool.ge_const(p, 2), pool.ge_const(p, 5)];
+            let mut oracle = CommutativityOracle::new(level);
+            let mut passes = Vec::new();
+            for _ in 0..3 {
+                let mut answers = Vec::new();
+                for &phi in conditions.iter().rev().chain(&conditions) {
+                    for (a, b) in [(0, 1), (1, 0), (0, 0)] {
+                        answers.push(oracle.commute_under(
+                            &mut pool,
+                            &program,
+                            phi,
+                            LetterId(a),
+                            LetterId(b),
+                        ));
+                    }
+                }
+                let s = oracle.stats();
+                passes.push((answers, [s.syntactic_hits, s.semantic_checks, s.cache_hits]));
+            }
+            assert!(passes.iter().all(|(answers, _)| *answers == passes[0].0));
+            let counters: Vec<[usize; 3]> = passes.iter().map(|(_, c)| *c).collect();
+            assert_eq!(counters, expected, "{level:?}");
+        }
+    }
+
+    const EXPECTED_SEMANTIC: [[usize; 3]; 3] = [[0, 3, 13], [0, 3, 33], [0, 3, 53]];
+    const EXPECTED_SYNTACTIC: [[usize; 3]; 3] = [[0, 0, 11], [0, 0, 23], [0, 0, 35]];
 }

@@ -34,6 +34,7 @@
 pub mod certfault;
 pub mod client;
 pub mod crash;
+mod histogram;
 pub mod proto;
 pub mod server;
 pub mod store;

@@ -44,6 +44,7 @@
 
 use crate::certfault::{CertFaultPlan, CertFaultSite};
 use crate::crash::{CrashPlan, CrashSite};
+use crate::histogram::Histogram;
 use crate::proto::{
     write_frame, Command, FrameError, FrameEvent, FrameReader, Request, Response, Status,
     WireVerdict, MAX_FRAME,
@@ -187,7 +188,8 @@ struct Shared {
     /// fresh audit on the next hit. The `full` and `structural` tiers
     /// never consult this — paranoid deployments re-check every serve.
     certs_audited: Mutex<HashSet<u64>>,
-    latencies_ms: Mutex<Vec<u64>>,
+    /// Handler time per verification request, in milliseconds.
+    latencies_ms: Mutex<Histogram>,
 }
 
 impl Shared {
@@ -275,22 +277,12 @@ impl Shared {
         info.push(("qcache-hits".to_owned(), qc.hits.to_string()));
         info.push(("qcache-misses".to_owned(), qc.misses.to_string()));
         info.push(("qcache-evictions".to_owned(), qc.evictions.to_string()));
-        let (p50, p95, max) = percentiles(&self.latencies_ms.lock().expect("latencies"));
+        let (p50, p95, max) = self.latencies_ms.lock().expect("latencies").summary();
         info.push(("latency-p50-ms".to_owned(), p50.to_string()));
         info.push(("latency-p95-ms".to_owned(), p95.to_string()));
         info.push(("latency-max-ms".to_owned(), max.to_string()));
         info
     }
-}
-
-fn percentiles(samples: &[u64]) -> (u64, u64, u64) {
-    if samples.is_empty() {
-        return (0, 0, 0);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    (at(0.50), at(0.95), sorted[sorted.len() - 1])
 }
 
 /// A bound daemon, ready to [`Server::run`].
@@ -345,7 +337,7 @@ impl Server {
             useless_probes: AtomicU64::new(0),
             useless_hits: AtomicU64::new(0),
             certs_audited: Mutex::new(HashSet::new()),
-            latencies_ms: Mutex::new(Vec::new()),
+            latencies_ms: Mutex::new(Histogram::default()),
         });
         Ok(Server {
             listener,
@@ -539,7 +531,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
             .latencies_ms
             .lock()
             .expect("latencies")
-            .push(response.time_ms);
+            .record(response.time_ms);
         response
     };
 
@@ -971,7 +963,7 @@ struct BatchStats {
     shed: u64,
     store_hits: u64,
     warm_starts: u64,
-    latencies_ms: Vec<u64>,
+    latencies_ms: Histogram,
 }
 
 impl BatchStats {
@@ -989,13 +981,13 @@ impl BatchStats {
             self.warm_starts += 1;
         }
         if response.verdict.is_some() {
-            self.latencies_ms.push(response.time_ms);
+            self.latencies_ms.record(response.time_ms);
         }
     }
 
     fn render(&self, shared: &Shared) -> String {
-        let (p50, p95, max) = percentiles(&self.latencies_ms);
-        let verifications = self.latencies_ms.len() as u64;
+        let (p50, p95, max) = self.latencies_ms.summary();
+        let verifications = self.latencies_ms.len();
         let hit_rate = if verifications == 0 {
             0.0
         } else {
