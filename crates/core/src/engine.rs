@@ -1,28 +1,29 @@
-//! A resumable, single-round verification engine.
+//! A resumable, single-round verification engine and the one loop that
+//! drives it.
 //!
 //! [`Engine`] packages the per-order state of the refinement loop (the
 //! preference order, commutativity oracle, persistent sets and the §7.2
-//! useless-state cache) and exposes one refinement round at a time; every
-//! driver runs its rounds through [`Engine::round`]. The plain loop
-//! ([`crate::verify::verify`]) drives one engine per spec to completion;
-//! the **shared-proof adaptive portfolio**
-//! ([`crate::portfolio::adaptive_verify`]) interleaves rounds of several
-//! engines over a *common* [`ProofAutomaton`] — assertions discovered
-//! under one preference order are program facts and immediately benefit
-//! every other order. This realizes the direction sketched in the paper's
-//! §8 Limitations ("dynamically adjust a choice of a preference order
-//! based on partial verification efforts").
+//! useless-state cache) and exposes one refinement round at a time.
+//! `run_spec` is the only place engines are built and rounds run: every
+//! driver refines a spec through it, over a proof automaton shared by all
+//! of the spec's engines. With several engines (the **shared-proof
+//! adaptive portfolio**, [`crate::portfolio::adaptive_verify`]) the
+//! least-visited engine takes the next round, so assertions discovered
+//! under one preference order immediately benefit every other order —
+//! the direction sketched in the paper's §8 Limitations ("dynamically
+//! adjust a choice of a preference order based on partial verification
+//! efforts"). [`crate::verify::verify`] is the one-engine case.
 
 use crate::certify::SpecCert;
 use crate::check::{
     check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
 };
-use crate::govern::{Category, GiveUp};
+use crate::govern::{panic_reason, Category, GiveUp};
 use crate::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
 use crate::proof::ProofAutomaton;
-use crate::verify::{OrderSpec, VerifierConfig};
+use crate::verify::{OrderSpec, RunStats, Verdict, VerifierConfig};
 use program::commutativity::CommutativityOracle;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::PreferenceOrder;
@@ -31,6 +32,7 @@ use smt::term::{TermId, TermPool};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Outcome of a single refinement round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,11 +44,9 @@ pub enum RoundOutcome {
     /// The counterexample was refuted; new assertions were added.
     Refined,
     /// This engine cannot continue (budget, solver incompleteness,
-    /// deadline, injected fault, …). The give-up carries the category.
+    /// deadline, cancellation, injected fault, …). The give-up carries the
+    /// category.
     GaveUp(GiveUp),
-    /// The round was aborted by the shared cancellation flag (another
-    /// portfolio member already concluded); carries the governor's record.
-    Cancelled(GiveUp),
 }
 
 /// A bounded memory of recently seen counterexample traces.
@@ -119,14 +119,6 @@ pub struct EngineStats {
     /// right after its most recent check round (a gauge of the proof, so
     /// engines sharing one proof see each other's queries).
     pub hoare_checks: usize,
-    /// Solver queries answered from the query cache during this engine's
-    /// rounds. With a shared cache under free-running parallel workers
-    /// this attribution is approximate (concurrent activity lands in the
-    /// round that observes it); pool-level totals are exact.
-    pub qcache_hits: u64,
-    /// Solver queries by this engine's rounds that solved cold (same
-    /// attribution caveat as `qcache_hits`).
-    pub qcache_misses: u64,
     /// Proven rounds whose certificate was dropped because the recording
     /// re-walk tripped its state budget or the resource governor.
     pub certs_dropped: usize,
@@ -137,8 +129,6 @@ pub struct EngineStats {
 /// Per-preference-order verification state, advanced one round at a time
 /// against a (possibly shared) proof automaton.
 pub struct Engine {
-    /// Display name (the configuration's).
-    pub name: String,
     /// Counters.
     pub stats: EngineStats,
     spec: Spec,
@@ -170,7 +160,6 @@ impl Engine {
             .use_persistent
             .then(|| PersistentSets::new(pool, program, &mut oracle));
         Engine {
-            name: config.name.clone(),
             stats: EngineStats::default(),
             spec,
             order: config.order.build(),
@@ -190,11 +179,6 @@ impl Engine {
             history: TraceHistory::new(),
             pending_broadcast: Vec::new(),
         }
-    }
-
-    /// The specification this engine checks.
-    pub fn spec(&self) -> Spec {
-        self.spec
     }
 
     /// Records this engine's certificate for `proof` after a round
@@ -248,7 +232,6 @@ impl Engine {
         proof: &mut ProofAutomaton,
     ) -> RoundOutcome {
         self.stats.rounds += 1;
-        let cache_before = pool.query_cache().map(|c| c.stats());
         let mut round_stats = CheckStats::default();
         let result = check_proof(
             pool,
@@ -268,7 +251,7 @@ impl Engine {
         self.stats.useless_probes += round_stats.useless_probes;
         self.stats.useless_len = round_stats.useless_len;
         self.stats.hoare_checks = proof.stats().hoare_checks;
-        let outcome = match result {
+        match result {
             CheckResult::Proven => RoundOutcome::Proven,
             CheckResult::LimitReached => RoundOutcome::GaveUp(GiveUp::new(
                 Category::DfsStates,
@@ -277,9 +260,6 @@ impl Engine {
                     self.check_config.max_visited
                 ),
             )),
-            CheckResult::Interrupted(g) if g.category == Category::Cancelled => {
-                RoundOutcome::Cancelled(g)
-            }
             CheckResult::Interrupted(g) => RoundOutcome::GaveUp(g),
             CheckResult::Counterexample(trace) => {
                 if self.history.record(&trace) {
@@ -316,13 +296,165 @@ impl Engine {
                     }
                 }
             }
-        };
-        if let (Some(cache), Some(before)) = (pool.query_cache(), cache_before) {
-            let delta = cache.stats().since(&before);
-            self.stats.qcache_hits += delta.hits;
-            self.stats.qcache_misses += delta.misses;
         }
-        outcome
+    }
+}
+
+/// What a driver plugs into [`run_spec`] around the rounds. An `Err` ends
+/// the spec with that give-up.
+pub(crate) trait RoundHooks {
+    /// Runs before each round; `rounds` counts the rounds already run.
+    fn before_round(
+        &mut self,
+        _pool: &mut TermPool,
+        _proof: &mut ProofAutomaton,
+        _rounds: usize,
+    ) -> Result<(), GiveUp> {
+        Ok(())
+    }
+
+    /// Runs after `engine`'s round refined `proof`.
+    fn after_refine(
+        &mut self,
+        _pool: &mut TermPool,
+        _engine: &mut Engine,
+        _proof: &ProofAutomaton,
+    ) -> Result<(), GiveUp> {
+        Ok(())
+    }
+}
+
+/// No hooks: the plain and adaptive drivers.
+impl RoundHooks for () {}
+
+/// How a spec's refinement ended.
+pub(crate) struct SpecEnd {
+    pub verdict: Verdict,
+    /// Index of the member whose round concluded.
+    pub winner: Option<usize>,
+    /// The winner's certificate when it proved the spec.
+    pub cert: Option<SpecCert>,
+}
+
+/// A finished [`run_spec`]: the end plus the state the rounds built, which
+/// outlives a contained panic.
+pub(crate) struct SpecRun {
+    pub end: SpecEnd,
+    /// One entry per engine built, in member order.
+    pub engines: Vec<EngineStats>,
+    pub proof: ProofAutomaton,
+}
+
+impl SpecRun {
+    /// Folds this spec's engines and proof into `stats`.
+    pub(crate) fn fold(self, stats: &mut RunStats) -> SpecEnd {
+        stats.add_engines(&self.engines, self.proof.proof_size());
+        self.end
+    }
+}
+
+/// Refines `spec` with one engine per member over one shared proof until
+/// an engine concludes, every engine gave up, `max_rounds` rounds ran or a
+/// hook stopped it. The least-visited live engine runs each round, after a
+/// [`Category::Rounds`] charge. A panic in an engine's set-up
+/// or rounds (an injected fault) becomes a give-up.
+pub(crate) fn run_spec(
+    pool: &mut TermPool,
+    program: &Program,
+    spec: Spec,
+    members: &[VerifierConfig],
+    max_rounds: usize,
+    hooks: &mut impl RoundHooks,
+) -> SpecRun {
+    let mut engines: Vec<Engine> = Vec::with_capacity(members.len());
+    let mut proof = ProofAutomaton::new();
+    let mut winner = None;
+    let mut cert = None;
+    let verdict = catch_unwind(AssertUnwindSafe(|| -> Result<Verdict, GiveUp> {
+        for member in members {
+            engines.push(Engine::new(pool, program, spec, member));
+        }
+        let mut alive: Vec<usize> = (0..engines.len()).collect();
+        let mut give_ups = Vec::new();
+        for rounds in 0.. {
+            // The hook runs before the cap check too, so a lockstep worker
+            // waits at the barrier once per round it reports.
+            hooks.before_round(pool, &mut proof, rounds)?;
+            if rounds == max_rounds {
+                break;
+            }
+            pool.governor().charge(Category::Rounds)?;
+            let &i = alive
+                .iter()
+                .min_by_key(|&&i| engines[i].stats.visited)
+                .expect("a live engine");
+            match engines[i].round(pool, program, &mut proof) {
+                RoundOutcome::Proven => {
+                    winner = Some(i);
+                    cert = engines[i].record_spec_cert(pool, program, &mut proof);
+                    return Ok(Verdict::Correct);
+                }
+                RoundOutcome::Bug(trace) => {
+                    winner = Some(i);
+                    return Ok(Verdict::Incorrect { trace });
+                }
+                RoundOutcome::Refined => hooks.after_refine(pool, &mut engines[i], &proof)?,
+                RoundOutcome::GaveUp(g) => {
+                    give_ups.push(g);
+                    alive.retain(|&j| j != i);
+                    if alive.is_empty() {
+                        return Err(match give_ups.len() {
+                            1 => give_ups.remove(0),
+                            _ => every_engine_gave_up(&give_ups),
+                        });
+                    }
+                }
+            }
+        }
+        Err(GiveUp::new(
+            Category::Rounds,
+            format!("no proof within {max_rounds} refinement rounds"),
+        ))
+    }))
+    .unwrap_or_else(|payload| {
+        Err(pool
+            .governor()
+            .give_up()
+            .filter(|g| g.category == Category::InjectedFault)
+            .unwrap_or_else(|| {
+                GiveUp::new(
+                    Category::InjectedFault,
+                    format!("panic contained: {}", panic_reason(payload.as_ref())),
+                )
+            }))
+    })
+    .unwrap_or_else(Verdict::GaveUp);
+    SpecRun {
+        end: SpecEnd {
+            verdict,
+            winner,
+            cert,
+        },
+        engines: engines.iter().map(|e| e.stats).collect(),
+        proof,
+    }
+}
+
+/// The give-up of a portfolio whose every engine gave up: the first root
+/// cause in `give_ups` order (an engine that was only cancelled echoes
+/// another's stop), else the first give-up.
+pub(crate) fn every_engine_gave_up<'a>(give_ups: impl IntoIterator<Item = &'a GiveUp>) -> GiveUp {
+    let give_ups: Vec<&GiveUp> = give_ups.into_iter().collect();
+    let cause = give_ups
+        .iter()
+        .find(|g| g.category != Category::Cancelled)
+        .or(give_ups.first());
+    match cause {
+        Some(g) => GiveUp::new(
+            g.category,
+            format!("every portfolio engine gave up (e.g. {})", g.reason),
+        ),
+        None => GiveUp::new(Category::Cancelled, "every portfolio engine gave up"),
     }
 }
 

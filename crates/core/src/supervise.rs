@@ -45,23 +45,19 @@
 //! `Unknown`/`GaveUp` outcomes a tripped governor produces.
 
 use crate::certify::SpecCert;
-use crate::engine::{Engine, RoundOutcome};
-use crate::govern::{
-    panic_reason, push_give_up_deduped, AttributedGiveUp, Category, GiveUp, ResourceGovernor,
-};
+use crate::engine::{run_spec, Engine, RoundHooks, SpecEnd};
+use crate::govern::{push_give_up_deduped, AttributedGiveUp, Category, GiveUp};
 use crate::portfolio::{parallel_verify, EngineStatus, ParallelConfig, ParallelOutcome};
 use crate::proof::ProofAutomaton;
-use crate::snapshot::Snapshot;
-use crate::verify::{assemble_certificate, specs_of, Outcome, RunStats, Verdict, VerifierConfig};
-use program::concurrent::{LetterId, Program, Spec};
+use crate::snapshot::{program_fingerprint, Snapshot};
+use crate::verify::{run_session, Outcome, RunStats, Verdict, VerifierConfig};
+use program::concurrent::{Program, Spec};
 use smt::term::TermPool;
 use smt::transfer::ExportedTerm;
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The escalation ladder: how many restarts a run gets and how fast its
 /// resource limits grow between them.
@@ -213,94 +209,131 @@ fn recycle_hit_rate(rounds_skipped: usize, attempts: &[AttemptReport]) -> f64 {
     rounds_skipped as f64 / (rounds_skipped + executed) as f64
 }
 
-/// How one spec phase of one attempt ended.
-enum SpecEnd {
-    Proven,
-    Bug(Vec<LetterId>),
-    GaveUp(GiveUp),
-    Interrupted,
+/// The escalation ladder both supervisors climb: the attempt in progress,
+/// the assertions recycled into it, and the reports of the attempts so far.
+struct Ladder {
+    policy: RetryPolicy,
+    /// The attempt in progress (resumed runs continue their snapshot's).
+    attempt: u32,
+    /// The last attempt the ladder may run.
+    last: u32,
+    attempts: Vec<AttemptReport>,
+    give_ups: Vec<AttributedGiveUp>,
+    /// Assertions to seed the next proof with, deduped, in discovery order.
+    recycled: Vec<ExportedTerm>,
+    recycled_set: HashSet<ExportedTerm>,
+    /// Rounds carried in from a resumed snapshot.
+    base_rounds: usize,
 }
 
-/// Mutable supervisor state threaded through attempts and spec phases.
-struct SupervisorState {
+impl Ladder {
+    fn new(policy: RetryPolicy, first: u32) -> Ladder {
+        Ladder {
+            policy,
+            attempt: first,
+            last: policy.max_retries.max(first),
+            attempts: Vec::new(),
+            give_ups: Vec::new(),
+            recycled: Vec::new(),
+            recycled_set: HashSet::new(),
+            base_rounds: 0,
+        }
+    }
+
+    /// `config` with its resources stretched for the attempt in progress:
+    /// the deadline by `deadline_factor` per rung, step budgets and the
+    /// per-round state cap by `step_factor`.
+    fn escalate(&self, config: &VerifierConfig) -> VerifierConfig {
+        let (policy, attempt) = (&self.policy, self.attempt);
+        VerifierConfig {
+            govern: config
+                .govern
+                .escalated(attempt, policy.deadline_factor, policy.step_factor),
+            max_visited_per_round: config
+                .max_visited_per_round
+                .saturating_mul(policy.step_factor.saturating_pow(attempt).max(1) as usize),
+            ..config.clone()
+        }
+    }
+
+    fn recycle<'a>(&mut self, terms: impl IntoIterator<Item = &'a ExportedTerm>) {
+        for t in terms {
+            if self.recycled_set.insert(t.clone()) {
+                self.recycled.push(t.clone());
+            }
+        }
+    }
+
+    /// Records the attempt that just ran, seeded with `seeded` assertions;
+    /// returns `true` when the ladder climbs to the next one: the attempt
+    /// gave up, `retry` allows another and a rung is left.
+    fn climb(
+        &mut self,
+        rounds: usize,
+        seeded: usize,
+        give_up: Option<GiveUp>,
+        retry: bool,
+    ) -> bool {
+        let climb = give_up.is_some() && retry && self.attempt < self.last;
+        self.attempts.push(AttemptReport {
+            attempt: self.attempt,
+            rounds,
+            seeded,
+            give_up,
+        });
+        self.attempt += u32::from(climb);
+        climb
+    }
+
+    /// Rounds whose work the final attempt did not repeat: the resumed
+    /// snapshot's and every earlier attempt's.
+    fn rounds_skipped(&self) -> usize {
+        let earlier = self.attempts.iter().rev().skip(1).map(|a| a.rounds);
+        self.base_rounds + earlier.sum::<usize>()
+    }
+
+    /// Assertions seeded into the final attempt.
+    fn recycled_assertions(&self) -> usize {
+        self.attempts.last().map_or(0, |a| a.seeded)
+    }
+}
+
+/// Supervisor state threaded through attempts and specs; also the round
+/// hooks of a supervised spec (seeding, checkpoints, interrupts).
+struct Supervisor {
+    ladder: Ladder,
     program_hash: u64,
     config_name: String,
     checkpoint: Option<PathBuf>,
     checkpoint_error: Option<String>,
     interrupt: Option<Arc<AtomicBool>>,
-    attempt: u32,
+    /// The run stopped at a round boundary on the interrupt flag.
+    stopped: bool,
     specs_done: usize,
-    /// Rounds carried in from the resumed snapshot.
-    base_rounds: usize,
-    /// Work counters for this process (all attempts).
-    stats: RunStats,
-    /// Recycled assertions for the in-progress spec, discovery order.
-    recycled: Vec<ExportedTerm>,
-    recycled_set: HashSet<ExportedTerm>,
-    give_ups: Vec<AttributedGiveUp>,
-    /// Everything harvested across all specs and attempts (deduped,
-    /// discovery order) — survives `clear_recycled` and is returned as
-    /// [`SupervisedOutcome::harvest`].
-    all_harvest: Vec<ExportedTerm>,
-    all_harvest_set: HashSet<ExportedTerm>,
+    /// Completed rounds: the snapshot's plus this process's finished specs.
+    rounds_done: usize,
     /// One recorded certificate per proven spec, in spec order. Specs
     /// proven by a pre-crash process (resumed from a snapshot) have no
     /// recording, so the run's overall certificate degrades to `None`.
     spec_certs: Vec<Option<SpecCert>>,
+    /// Everything harvested across all specs and attempts (deduped,
+    /// discovery order), returned as [`SupervisedOutcome::harvest`].
+    harvest: Vec<ExportedTerm>,
+    harvested: HashSet<ExportedTerm>,
 }
 
-impl SupervisorState {
+impl Supervisor {
     fn interrupted(&self) -> bool {
         self.interrupt
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// Total completed rounds (snapshot + this process's finished spec
-    /// phases); the phase in progress adds its own.
-    fn rounds_completed(&self) -> usize {
-        self.base_rounds + self.stats.rounds
-    }
-
-    /// Merges a proof's assertions into the recycled pool (deduped,
-    /// discovery order preserved) and the run-wide harvest.
-    fn harvest(&mut self, pool: &TermPool, proof: &ProofAutomaton) {
-        for &id in proof.assertions() {
-            let exported = pool.export(id);
-            if self.recycled_set.insert(exported.clone()) {
-                self.recycled.push(exported.clone());
-            }
-            if self.all_harvest_set.insert(exported.clone()) {
-                self.all_harvest.push(exported);
-            }
-        }
-    }
-
-    /// Records a finished spec phase's proof in the run-wide harvest only
-    /// (the recycled pool stays untouched — a *successful* phase's
-    /// assertions must not leak into the next spec's seeds, exactly like
-    /// an unsupervised run).
-    fn harvest_all_only(&mut self, pool: &TermPool, proof: &ProofAutomaton) {
-        for &id in proof.assertions() {
-            let exported = pool.export(id);
-            if self.all_harvest_set.insert(exported.clone()) {
-                self.all_harvest.push(exported);
-            }
-        }
-    }
-
-    /// Forgets the recycled pool (on spec completion: the next spec
-    /// starts from an empty proof, exactly like an unsupervised run).
-    fn clear_recycled(&mut self) {
-        self.recycled.clear();
-        self.recycled_set.clear();
-    }
-
     /// Writes a round-boundary checkpoint if a path is configured.
-    /// `in_flight` is the spec phase in progress: its proof and the rounds
-    /// it ran. Best-effort: failures are recorded, not fatal.
+    /// `in_flight` is the spec in progress: its proof and the rounds it
+    /// ran. Best-effort: failures are recorded, not fatal.
     fn write_checkpoint(&mut self, pool: &TermPool, in_flight: Option<(&ProofAutomaton, usize)>) {
-        let Some(path) = self.checkpoint.clone() else {
+        let Some(path) = &self.checkpoint else {
             return;
         };
         let (assertions, rounds) = match in_flight {
@@ -312,26 +345,113 @@ impl SupervisorState {
                     .collect(),
                 rounds,
             ),
-            None => (self.recycled.clone(), 0),
+            None => (self.ladder.recycled.clone(), 0),
         };
         let snapshot = Snapshot {
             program_hash: self.program_hash,
             config_name: self.config_name.clone(),
-            attempt: self.attempt,
+            attempt: self.ladder.attempt,
             specs_done: self.specs_done,
-            rounds_completed: self.rounds_completed() + rounds,
-            give_ups: self.give_ups.clone(),
+            rounds_completed: self.rounds_done + rounds,
+            give_ups: self.ladder.give_ups.clone(),
             assertions,
         };
-        if let Err(e) = snapshot.save_atomic(&path) {
+        if let Err(e) = snapshot.save_atomic(path) {
             self.checkpoint_error = Some(e);
         }
+    }
+
+    /// Runs spec `index` of one attempt under `config`; a spec proven
+    /// earlier (by a previous attempt or before a resumed crash) is not
+    /// re-run. A spec that gives up recycles its proof into the ladder.
+    fn attempt_spec(
+        &mut self,
+        pool: &mut TermPool,
+        program: &Program,
+        index: usize,
+        spec: Spec,
+        config: &VerifierConfig,
+        stats: &mut RunStats,
+    ) -> SpecEnd {
+        if index < self.specs_done {
+            return SpecEnd {
+                verdict: Verdict::Correct,
+                winner: None,
+                cert: self.spec_certs[index].clone(),
+            };
+        }
+        let members = std::slice::from_ref(config);
+        let run = run_spec(pool, program, spec, members, config.max_rounds, self);
+        self.rounds_done += run.engines.iter().map(|e| e.rounds).sum::<usize>();
+        let exported: Vec<ExportedTerm> = run
+            .proof
+            .assertions()
+            .iter()
+            .map(|&id| pool.export(id))
+            .collect();
+        for t in &exported {
+            if self.harvested.insert(t.clone()) {
+                self.harvest.push(t.clone());
+            }
+        }
+        match &run.end.verdict {
+            Verdict::Correct => {
+                self.specs_done += 1;
+                self.spec_certs.push(run.end.cert.clone());
+                // The next spec starts from an empty proof, exactly like
+                // an unsupervised run.
+                self.ladder.recycled.clear();
+                self.ladder.recycled_set.clear();
+                // Record the spec transition so a crash right here resumes
+                // into the next spec, not back into this one.
+                self.write_checkpoint(pool, None);
+            }
+            Verdict::GaveUp(_) => self.ladder.recycle(&exported),
+            Verdict::Incorrect { .. } => {}
+        }
+        run.fold(stats)
+    }
+}
+
+impl RoundHooks for Supervisor {
+    fn before_round(
+        &mut self,
+        pool: &mut TermPool,
+        proof: &mut ProofAutomaton,
+        rounds: usize,
+    ) -> Result<(), GiveUp> {
+        if rounds == 0 {
+            for t in &self.ladder.recycled {
+                let id = pool.import(t);
+                proof.add_assertion(id);
+            }
+        }
+        if self.interrupted() {
+            self.write_checkpoint(pool, Some((proof, rounds)));
+            self.stopped = true;
+            return Err(GiveUp::new(
+                Category::Cancelled,
+                "interrupted at a round boundary; checkpoint written",
+            ));
+        }
+        Ok(())
+    }
+
+    fn after_refine(
+        &mut self,
+        pool: &mut TermPool,
+        engine: &mut Engine,
+        proof: &ProofAutomaton,
+    ) -> Result<(), GiveUp> {
+        self.write_checkpoint(pool, Some((proof, engine.stats.rounds)));
+        Ok(())
     }
 }
 
 /// Verifies `program` under `config` with restart supervision: escalated
 /// retries recycle the partial proof of every failed attempt, and (when
-/// configured) round-boundary checkpoints make the run crash-safe.
+/// configured) round-boundary checkpoints make the run crash-safe. Each
+/// attempt is one run session; it resumes at the first unproven spec.
 ///
 /// A resumed run (via [`SuperviseConfig::resume`]) whose snapshot does
 /// not match `program` refuses to start and reports a give-up — it never
@@ -342,42 +462,38 @@ pub fn supervised_verify(
     config: &VerifierConfig,
     scfg: &SuperviseConfig,
 ) -> SupervisedOutcome {
-    let start = Instant::now();
-    let mut state = SupervisorState {
-        program_hash: crate::snapshot::program_fingerprint(pool, program),
+    let mut sup = Supervisor {
+        ladder: Ladder::new(scfg.policy, 0),
+        program_hash: program_fingerprint(pool, program),
         config_name: config.name.clone(),
         checkpoint: scfg.checkpoint.clone(),
         checkpoint_error: None,
         interrupt: scfg.interrupt.clone(),
-        attempt: 0,
+        stopped: false,
         specs_done: 0,
-        base_rounds: 0,
-        stats: RunStats::default(),
-        recycled: Vec::new(),
-        recycled_set: HashSet::new(),
-        give_ups: Vec::new(),
-        all_harvest: Vec::new(),
-        all_harvest_set: HashSet::new(),
+        rounds_done: 0,
         spec_certs: Vec::new(),
+        harvest: Vec::new(),
+        harvested: HashSet::new(),
     };
-    let mut attempts: Vec<AttemptReport> = Vec::new();
-
+    let mut outcome = Outcome {
+        verdict: Verdict::Correct,
+        stats: RunStats::default(),
+        certificate: None,
+    };
     if let Some(snap) = &scfg.resume {
-        if snap.program_hash != state.program_hash {
+        if snap.program_hash != sup.program_hash {
+            outcome.verdict = Verdict::gave_up(
+                Category::Cancelled,
+                format!(
+                    "snapshot program hash {:016x} does not match this program \
+                     ({:016x}); refusing to resume",
+                    snap.program_hash, sup.program_hash
+                ),
+            );
             return SupervisedOutcome {
-                outcome: Outcome {
-                    verdict: Verdict::gave_up(
-                        Category::Cancelled,
-                        format!(
-                            "snapshot program hash {:016x} does not match this program \
-                             ({:016x}); refusing to resume",
-                            snap.program_hash, state.program_hash
-                        ),
-                    ),
-                    stats: RunStats::default(),
-                    certificate: None,
-                },
-                attempts,
+                outcome,
+                attempts: Vec::new(),
                 give_up_history: Vec::new(),
                 recycled_assertions: 0,
                 rounds_skipped: 0,
@@ -386,216 +502,65 @@ pub fn supervised_verify(
                 harvest: Vec::new(),
             };
         }
-        state.attempt = snap.attempt;
-        state.specs_done = snap.specs_done;
-        // Specs proven before the crash have no recorded certificate.
-        state.spec_certs = vec![None; snap.specs_done];
-        state.base_rounds = snap.rounds_completed;
+        sup.ladder = Ladder::new(scfg.policy, snap.attempt);
+        sup.ladder.base_rounds = snap.rounds_completed;
+        sup.ladder.recycle(&snap.assertions);
         for g in &snap.give_ups {
-            push_give_up_deduped(&mut state.give_ups, g.clone());
+            push_give_up_deduped(&mut sup.ladder.give_ups, g.clone());
         }
-        for t in &snap.assertions {
-            if state.recycled_set.insert(t.clone()) {
-                state.recycled.push(t.clone());
-            }
-        }
+        sup.specs_done = snap.specs_done;
+        sup.spec_certs = vec![None; snap.specs_done];
+        sup.rounds_done = snap.rounds_completed;
     }
 
-    let specs = specs_of(program);
-    let previous_governor = pool.governor().clone();
-    let last_attempt = scfg.policy.max_retries.max(state.attempt);
-    let mut interrupted = false;
-
-    let verdict = loop {
-        let attempt = state.attempt;
-        let mut attempt_config = config.clone();
-        attempt_config.govern = config.govern.escalated(
-            attempt,
-            scfg.policy.deadline_factor,
-            scfg.policy.step_factor,
-        );
-        attempt_config.max_visited_per_round = config
-            .max_visited_per_round
-            .saturating_mul(scfg.policy.step_factor.saturating_pow(attempt).max(1) as usize);
-        let governor = attempt_config.govern.build();
-        pool.set_governor(governor.clone());
-
-        let seeded = state.recycled.len();
-        let mut attempt_rounds = 0usize;
-        let mut attempt_end: Option<SpecEnd> = None;
-        while state.specs_done < specs.len() {
-            let spec = specs[state.specs_done];
-            let (end, rounds) =
-                run_spec(pool, program, spec, &attempt_config, &governor, &mut state);
-            attempt_rounds += rounds;
-            if let SpecEnd::Proven = end {
-                state.specs_done += 1;
-                state.clear_recycled();
-                // Record the spec transition so a crash right here resumes
-                // into the next spec, not back into this one.
-                state.write_checkpoint(pool, None);
-            } else {
-                attempt_end = Some(end);
-                break;
-            }
-        }
-
-        let give_up = match &attempt_end {
-            Some(SpecEnd::GaveUp(g)) => Some(g.clone()),
-            _ => None,
-        };
+    loop {
+        let attempt_config = sup.ladder.escalate(config);
+        let seeded = sup.ladder.recycled.len();
+        let rounds = outcome.stats.rounds;
+        outcome = run_session(
+            pool,
+            program,
+            &attempt_config,
+            outcome.stats,
+            |pool, index, spec, stats| {
+                sup.attempt_spec(pool, program, index, spec, &attempt_config, stats)
+            },
+        )
+        .0;
+        let give_up = outcome.verdict.give_up().filter(|_| !sup.stopped).cloned();
         if let Some(g) = &give_up {
-            push_give_up_deduped(
-                &mut state.give_ups,
-                AttributedGiveUp::new(&config.name, g.clone()),
-            );
+            let attributed = AttributedGiveUp::new(&config.name, g.clone());
+            push_give_up_deduped(&mut sup.ladder.give_ups, attributed);
         }
-        attempts.push(AttemptReport {
-            attempt,
-            rounds: attempt_rounds,
-            seeded,
-            give_up: give_up.clone(),
-        });
-
-        match attempt_end {
-            None => break Verdict::Correct,
-            Some(SpecEnd::Proven) => unreachable!("proven specs advance the loop"),
-            Some(SpecEnd::Bug(trace)) => break Verdict::Incorrect { trace },
-            Some(SpecEnd::Interrupted) => {
-                interrupted = true;
-                break Verdict::gave_up(
-                    Category::Cancelled,
-                    "interrupted at a round boundary; checkpoint written",
-                );
-            }
-            Some(SpecEnd::GaveUp(g)) => {
-                if attempt < last_attempt && !state.interrupted() {
-                    // Escalate and restart; the recycled pool already
-                    // holds this attempt's harvest.
-                    state.attempt += 1;
-                } else {
-                    break Verdict::GaveUp(GiveUp::new(
-                        g.category,
-                        format!(
-                            "gave up after {} attempt(s) (last cause: {})",
-                            attempts.len(),
-                            g.reason
-                        ),
-                    ));
-                }
-            }
+        let retry = !sup.interrupted();
+        if !sup
+            .ladder
+            .climb(outcome.stats.rounds - rounds, seeded, give_up, retry)
+        {
+            break;
         }
-    };
-
-    pool.set_governor(previous_governor);
-    let certificate = if config.certify {
-        // A bug ends the run inside the spec `specs_done` points at.
-        let failed_spec = specs.get(state.specs_done).copied();
-        let spec_certs = std::mem::take(&mut state.spec_certs);
-        assemble_certificate(pool, program, &verdict, spec_certs, failed_spec)
-    } else {
-        None
-    };
-    let final_rounds = attempts.last().map_or(0, |a| a.rounds);
-    let rounds_skipped = state.rounds_completed().saturating_sub(final_rounds);
-    let recycled_assertions = attempts.last().map_or(0, |a| a.seeded);
-    let base_rounds = state.base_rounds;
-    let mut stats = state.stats;
-    stats.rounds += base_rounds;
-    stats.time = start.elapsed();
+    }
+    if let (Verdict::GaveUp(g), false) = (&outcome.verdict, sup.stopped) {
+        outcome.verdict = Verdict::gave_up(
+            g.category,
+            format!(
+                "gave up after {} attempt(s) (last cause: {})",
+                sup.ladder.attempts.len(),
+                g.reason
+            ),
+        );
+    }
+    outcome.stats.rounds += sup.ladder.base_rounds;
     SupervisedOutcome {
-        outcome: Outcome {
-            verdict,
-            stats,
-            certificate,
-        },
-        attempts,
-        give_up_history: state.give_ups,
-        recycled_assertions,
-        rounds_skipped,
-        interrupted,
-        checkpoint_error: state.checkpoint_error,
-        harvest: state.all_harvest,
+        outcome,
+        recycled_assertions: sup.ladder.recycled_assertions(),
+        rounds_skipped: sup.ladder.rounds_skipped(),
+        attempts: sup.ladder.attempts,
+        give_up_history: sup.ladder.give_ups,
+        interrupted: sup.stopped,
+        checkpoint_error: sup.checkpoint_error,
+        harvest: sup.harvest,
     }
-}
-
-/// Runs one spec phase of one attempt: seeds the proof with the recycled
-/// assertions, drives rounds with round-boundary checkpoints and
-/// interrupt checks, and harvests the proof whenever the phase cannot
-/// conclude.
-fn run_spec(
-    pool: &mut TermPool,
-    program: &Program,
-    spec: Spec,
-    config: &VerifierConfig,
-    governor: &ResourceGovernor,
-    state: &mut SupervisorState,
-) -> (SpecEnd, usize) {
-    let mut engine = Engine::new(pool, program, spec, config);
-    let mut proof = ProofAutomaton::new();
-    for t in &state.recycled {
-        let id = pool.import(t);
-        proof.add_assertion(id);
-    }
-    let end = loop {
-        let rounds = engine.stats.rounds;
-        if state.interrupted() {
-            state.harvest(pool, &proof);
-            state.write_checkpoint(pool, Some((&proof, rounds)));
-            break SpecEnd::Interrupted;
-        }
-        if rounds >= config.max_rounds {
-            state.harvest(pool, &proof);
-            break SpecEnd::GaveUp(GiveUp::new(
-                Category::Rounds,
-                format!("no proof within {} refinement rounds", config.max_rounds),
-            ));
-        }
-        if let Err(g) = governor.charge(Category::Rounds) {
-            state.harvest(pool, &proof);
-            break SpecEnd::GaveUp(g);
-        }
-        // Contain injected panics at round granularity so the proof built
-        // so far stays harvestable.
-        let outcome = catch_unwind(AssertUnwindSafe(|| engine.round(pool, program, &mut proof)))
-            .unwrap_or_else(|payload| {
-                RoundOutcome::GaveUp(
-                    governor
-                        .give_up()
-                        .filter(|g| g.category == Category::InjectedFault)
-                        .unwrap_or_else(|| {
-                            GiveUp::new(
-                                Category::InjectedFault,
-                                format!("panic contained: {}", panic_reason(payload.as_ref())),
-                            )
-                        }),
-                )
-            });
-        match outcome {
-            RoundOutcome::Refined => {
-                state.write_checkpoint(pool, Some((&proof, engine.stats.rounds)));
-            }
-            RoundOutcome::Proven => {
-                let cert = engine.record_spec_cert(pool, program, &mut proof);
-                state.spec_certs.push(cert);
-                break SpecEnd::Proven;
-            }
-            RoundOutcome::Bug(trace) => break SpecEnd::Bug(trace),
-            RoundOutcome::GaveUp(g) => {
-                state.harvest(pool, &proof);
-                break SpecEnd::GaveUp(g);
-            }
-            RoundOutcome::Cancelled(_) => {
-                state.harvest(pool, &proof);
-                break SpecEnd::GaveUp(GiveUp::new(Category::Cancelled, "round cancelled"));
-            }
-        }
-    };
-    // Every spec end contributes to the run-wide harvest (give-up paths
-    // already did through `harvest`; this also covers Proven/Bug ends).
-    state.harvest_all_only(pool, &proof);
-    state.stats.add_engines([&engine.stats], proof.proof_size());
-    (end, engine.stats.rounds)
 }
 
 // ---------------------------------------------------------------------------
@@ -632,9 +597,8 @@ impl SupervisedParallelOutcome {
 
 /// The escalation ladder around [`parallel_verify`]: a pool-wide
 /// `GaveUp` harvests every worker's proof (exported by the portfolio's
-/// exit path), escalates each member's governor plus the shared
-/// wall-clock budget, and reruns with the union of all harvested
-/// assertions seeded into every worker.
+/// exit path), escalates each member's governor, and reruns with the
+/// union of all harvested assertions seeded into every worker.
 pub fn supervised_parallel_verify(
     pool: &TermPool,
     program: &Program,
@@ -642,70 +606,34 @@ pub fn supervised_parallel_verify(
     pcfg: &ParallelConfig,
     policy: &RetryPolicy,
 ) -> SupervisedParallelOutcome {
-    let mut attempts: Vec<AttemptReport> = Vec::new();
-    let mut give_ups: Vec<AttributedGiveUp> = Vec::new();
-    let mut recycled: Vec<ExportedTerm> = Vec::new();
-    let mut recycled_set: HashSet<ExportedTerm> = HashSet::new();
-    let mut rounds_skipped = 0usize;
-
-    for attempt in 0..=policy.max_retries {
-        let attempt_configs: Vec<VerifierConfig> = configs
-            .iter()
-            .map(|c| {
-                let mut escalated = c.clone();
-                escalated.govern =
-                    c.govern
-                        .escalated(attempt, policy.deadline_factor, policy.step_factor);
-                escalated.max_visited_per_round = c
-                    .max_visited_per_round
-                    .saturating_mul(policy.step_factor.saturating_pow(attempt).max(1) as usize);
-                escalated
-            })
-            .collect();
-        let mut attempt_pcfg = pcfg.clone();
-        attempt_pcfg.seed = recycled.clone();
-        attempt_pcfg.wall_clock_budget = pcfg
-            .wall_clock_budget
-            .map(|b| b.saturating_mul(policy.deadline_factor.saturating_pow(attempt).max(1)));
-
-        let seeded = recycled.len();
-        let result = parallel_verify(pool, program, &attempt_configs, &attempt_pcfg);
-        let attempt_rounds = result.outcome.stats.rounds;
-        let gave_up = result.outcome.verdict.give_up().cloned();
+    let mut ladder = Ladder::new(*policy, 0);
+    loop {
+        let members: Vec<VerifierConfig> = configs.iter().map(|c| ladder.escalate(c)).collect();
+        let seeded = ladder.recycled.len();
+        let attempt_pcfg = ParallelConfig {
+            seed: ladder.recycled.clone(),
+            ..pcfg.clone()
+        };
+        let result = parallel_verify(pool, program, &members, &attempt_pcfg);
         // Per-engine causes, deduped by (engine, category) across the
         // whole ladder — an escalated retry tripping over the same root
         // cause is not double-reported.
         for report in &result.engines {
             if let EngineStatus::GaveUp(g) = &report.status {
-                push_give_up_deduped(
-                    &mut give_ups,
-                    AttributedGiveUp::new(&report.name, g.clone()),
-                );
+                let attributed = AttributedGiveUp::new(&report.name, g.clone());
+                push_give_up_deduped(&mut ladder.give_ups, attributed);
             }
         }
-        attempts.push(AttemptReport {
-            attempt,
-            rounds: attempt_rounds,
-            seeded,
-            give_up: gave_up.clone(),
-        });
-
-        if gave_up.is_none() || attempt == policy.max_retries {
+        ladder.recycle(&result.harvest);
+        let give_up = result.outcome.verdict.give_up().cloned();
+        if !ladder.climb(result.outcome.stats.rounds, seeded, give_up, true) {
             return SupervisedParallelOutcome {
                 result,
-                attempts,
-                give_up_history: give_ups,
-                recycled_assertions: seeded,
-                rounds_skipped,
+                recycled_assertions: ladder.recycled_assertions(),
+                rounds_skipped: ladder.rounds_skipped(),
+                attempts: ladder.attempts,
+                give_up_history: ladder.give_ups,
             };
         }
-        // Recycle the harvest and climb the ladder.
-        for t in &result.harvest {
-            if recycled_set.insert(t.clone()) {
-                recycled.push(t.clone());
-            }
-        }
-        rounds_skipped += attempt_rounds;
     }
-    unreachable!("the ladder loop returns on its last attempt");
 }

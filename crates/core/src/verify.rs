@@ -7,18 +7,17 @@
 //! mechanism and thus explores the full interleaving product — the paper's
 //! comparison against Ultimate Automizer.
 
-use crate::certify::{CertSpec, Certificate, SpecCert};
-use crate::engine::{Engine, EngineStats, RoundOutcome};
-use crate::govern::{panic_reason, Category, GiveUp, GovernorConfig, ResourceGovernor};
+use crate::certify::{CertSpec, Certificate};
+use crate::engine::{run_spec, EngineStats, SpecEnd};
+use crate::govern::{Category, GiveUp, GovernorConfig, ResourceGovernor};
 use crate::interpolate::{InterpolationMode, InterpolationStats};
-use crate::proof::ProofAutomaton;
 use crate::snapshot::program_fingerprint;
 use program::commutativity::CommutativityLevel;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::{LockstepOrder, PreferenceOrder, PriorityOrder, RandomOrder, SeqOrder};
 use smt::term::TermPool;
-use smt::SolverKind;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use smt::{QueryCache, SolverKind};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Which preference order to instantiate (§8 evaluates these three
@@ -265,7 +264,9 @@ pub struct RunStats {
     pub visited_states: usize,
     /// Largest single-round visited count.
     pub max_round_visited: usize,
-    /// Hoare-triple solver queries.
+    /// Hoare-triple queries of the last spec that ran a round: its proof's
+    /// final count (summed over the proofs when parallel workers each
+    /// refined their own).
     pub hoare_checks: usize,
     /// Useless-cache skips (§7.2 optimization effectiveness).
     pub cache_skips: usize,
@@ -278,9 +279,10 @@ pub struct RunStats {
     pub time: Duration,
     /// Interpolation statistics.
     pub interpolation: InterpolationStats,
-    /// Solver queries answered from the query cache during this run.
+    /// Solver queries answered from the query cache during this run (the
+    /// pool's cache delta over the run, in every driver).
     pub qcache_hits: u64,
-    /// Solver queries that fell through to a real solve.
+    /// Solver queries that fell through to a real solve (same delta).
     pub qcache_misses: u64,
     /// Proven results whose certificate was dropped because the recording
     /// re-walk tripped its state budget or the resource governor.
@@ -342,8 +344,6 @@ impl RunStats {
             self.useless_probes += e.useless_probes;
             self.useless_len += e.useless_len;
             self.certs_dropped += e.certs_dropped;
-            self.qcache_hits += e.qcache_hits;
-            self.qcache_misses += e.qcache_misses;
             self.interpolation.add(&e.interpolation);
             hoare_checks = hoare_checks.max(e.hoare_checks);
         }
@@ -383,172 +383,125 @@ pub fn specs_of(program: &Program) -> Vec<Spec> {
 /// (footnote 4 of the paper); programs without asserts are verified
 /// against their pre/postcondition pair.
 pub fn verify(pool: &mut TermPool, program: &Program, config: &VerifierConfig) -> Outcome {
-    verify_governed(pool, program, config, config.govern.build())
+    let members = std::slice::from_ref(config);
+    run_session(
+        pool,
+        program,
+        config,
+        RunStats::default(),
+        |pool, _, spec, stats| {
+            run_spec(pool, program, spec, members, config.max_rounds, &mut ()).fold(stats)
+        },
+    )
+    .0
 }
 
-/// As [`verify`], with an explicitly built governor — the parallel
-/// portfolio builds per-worker governors sharing one cancellation token.
+/// The pool settings a run replaces: governor, solver and query cache.
+pub(crate) struct RunSettings {
+    governor: ResourceGovernor,
+    solver: SolverKind,
+    cache: Option<QueryCache>,
+}
+
+impl RunSettings {
+    /// Installs `governor` and `config`'s solver on `pool`, and removes the
+    /// pool's query cache when `config` runs without it (the cache is
+    /// Arc-shared, so other holders keep theirs). Returns what it replaced.
+    pub(crate) fn install(
+        pool: &mut TermPool,
+        config: &VerifierConfig,
+        governor: ResourceGovernor,
+    ) -> RunSettings {
+        let saved = RunSettings {
+            governor: pool.governor().clone(),
+            solver: pool.solver_kind(),
+            cache: if config.use_qcache {
+                None
+            } else {
+                pool.take_query_cache()
+            },
+        };
+        pool.set_governor(governor);
+        pool.set_solver_kind(config.solver);
+        saved
+    }
+
+    /// Puts the replaced settings back.
+    pub(crate) fn restore(self, pool: &mut TermPool) {
+        pool.set_governor(self.governor);
+        pool.set_solver_kind(self.solver);
+        if let Some(cache) = self.cache {
+            pool.set_query_cache(cache);
+        }
+    }
+}
+
+/// One run on one pool, shared by every driver. Installs `config`'s
+/// governor, solver and query-cache setting on `pool` (the previous ones
+/// are restored on return and on panic), runs the specs of `program` in
+/// order through `spec_run` until one is not proven, and assembles the
+/// certificate. Returns the outcome, with `stats` grown by this run, and
+/// the concluding member of the deciding spec.
 ///
-/// The governor is installed on `pool` for the duration of the run (so
-/// every solver query charges it) and the previous governor is restored
-/// before returning. Injected panics are contained here and reported as
-/// [`Verdict::GaveUp`] with [`Category::InjectedFault`].
-pub fn verify_governed(
+/// `spec_run(pool, index, spec, stats)` folds the engines it ran into
+/// `stats`. The session keeps `hoare_checks` as the last spec's count and
+/// adds the pool's query-cache delta over the run.
+pub(crate) fn run_session(
     pool: &mut TermPool,
     program: &Program,
     config: &VerifierConfig,
-    governor: ResourceGovernor,
-) -> Outcome {
+    mut stats: RunStats,
+    mut spec_run: impl FnMut(&mut TermPool, usize, Spec, &mut RunStats) -> SpecEnd,
+) -> (Outcome, Option<usize>) {
     let start = Instant::now();
-    let previous = pool.governor().clone();
-    pool.set_governor(governor.clone());
-    let saved_solver = pool.solver_kind();
-    pool.set_solver_kind(config.solver);
-    // Honor `use_qcache`: a disabled run removes the pool's cache handle
-    // for its duration (restored below; the cache is Arc-shared, so other
-    // holders are unaffected). Counters are attributed to this run by
-    // snapshot deltas, since the cache may be shared across workers.
-    let saved_cache = if config.use_qcache {
-        None
-    } else {
-        pool.take_query_cache()
-    };
+    let saved = RunSettings::install(pool, config, config.govern.build());
     let cache_before = pool.query_cache().map(|c| c.stats());
-    let mut stats = RunStats::default();
-    let specs = specs_of(program);
-    let mut verdict = Verdict::Correct;
-    let mut spec_certs: Vec<Option<SpecCert>> = Vec::new();
-    let mut failed_spec: Option<Spec> = None;
-    for spec in specs {
-        // The engine and proof live outside the panic boundary, so a
-        // contained panic still reports the work done before it.
-        let mut engine: Option<Engine> = None;
-        let mut proof = ProofAutomaton::new();
-        let (v, cert) = catch_unwind(AssertUnwindSafe(|| {
-            let engine = engine.insert(Engine::new(pool, program, spec, config));
-            verify_spec(pool, program, config, engine, &mut proof, &mut stats)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                Verdict::GaveUp(
-                    governor
-                        .give_up()
-                        .filter(|g| g.category == Category::InjectedFault)
-                        .unwrap_or_else(|| {
-                            GiveUp::new(
-                                Category::InjectedFault,
-                                format!("panic contained: {}", panic_reason(payload.as_ref())),
-                            )
-                        }),
-                ),
-                None,
-            )
-        });
-        if let Some(engine) = &engine {
-            // `verify` reports the last completed check round's Hoare
-            // count, not a sum over specs.
-            let last_hoare_checks = stats.hoare_checks;
-            stats.add_engines([&engine.stats], proof.proof_size());
-            stats.hoare_checks = last_hoare_checks;
-        }
-        match v {
-            Verdict::Correct => spec_certs.push(cert),
-            other => {
-                verdict = other;
-                failed_spec = Some(spec);
-                break;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut certs = Vec::new();
+        let mut winner = None;
+        for (i, spec) in specs_of(program).into_iter().enumerate() {
+            let (hoare_checks, rounds) = (stats.hoare_checks, stats.rounds);
+            stats.hoare_checks = 0;
+            let end = spec_run(pool, i, spec, &mut stats);
+            if stats.rounds == rounds {
+                stats.hoare_checks = hoare_checks;
             }
+            winner = end.winner;
+            let certificate = match &end.verdict {
+                Verdict::Correct => {
+                    certs.push(end.cert);
+                    continue;
+                }
+                Verdict::Incorrect { trace } if config.certify => Some(Certificate::Bug {
+                    fingerprint: program_fingerprint(pool, program),
+                    spec: CertSpec::of(spec),
+                    trace: trace.iter().map(|l| l.0).collect(),
+                }),
+                _ => None,
+            };
+            return (end.verdict, winner, certificate);
         }
-    }
-    pool.set_governor(previous);
-    pool.set_solver_kind(saved_solver);
+        let specs = certs.into_iter().collect::<Option<Vec<_>>>();
+        let certificate = specs.map(|specs| Certificate::Correct {
+            fingerprint: program_fingerprint(pool, program),
+            specs,
+        });
+        (Verdict::Correct, winner, certificate)
+    }));
     if let (Some(cache), Some(before)) = (pool.query_cache(), cache_before) {
         let delta = cache.stats().since(&before);
-        stats.qcache_hits = delta.hits;
-        stats.qcache_misses = delta.misses;
+        stats.qcache_hits += delta.hits;
+        stats.qcache_misses += delta.misses;
     }
-    if let Some(cache) = saved_cache {
-        pool.set_query_cache(cache);
-    }
-    stats.time = start.elapsed();
-    let certificate = if config.certify {
-        assemble_certificate(pool, program, &verdict, spec_certs, failed_spec)
-    } else {
-        None
-    };
-    Outcome {
-        verdict,
-        stats,
-        certificate,
-    }
-}
-
-/// Assembles the end-to-end certificate from per-spec pieces: a CORRECT
-/// verdict needs a recorded proof for *every* specification; an INCORRECT
-/// verdict carries its violating trace bound to the failed spec.
-pub(crate) fn assemble_certificate(
-    pool: &TermPool,
-    program: &Program,
-    verdict: &Verdict,
-    spec_certs: Vec<Option<SpecCert>>,
-    failed_spec: Option<Spec>,
-) -> Option<Certificate> {
-    match verdict {
-        Verdict::Correct => {
-            let specs: Vec<SpecCert> = spec_certs.into_iter().collect::<Option<Vec<_>>>()?;
-            if specs.len() != specs_of(program).len() {
-                return None;
-            }
-            Some(Certificate::Correct {
-                fingerprint: program_fingerprint(pool, program),
-                specs,
-            })
-        }
-        Verdict::Incorrect { trace } => Some(Certificate::Bug {
-            fingerprint: program_fingerprint(pool, program),
-            spec: CertSpec::of(failed_spec?),
-            trace: trace.iter().map(|l| l.0).collect(),
-        }),
-        Verdict::GaveUp(_) => None,
-    }
-}
-
-/// Runs `engine`'s refinement rounds on one spec until it concludes.
-/// `stats.hoare_checks` is the last completed check round's count.
-fn verify_spec(
-    pool: &mut TermPool,
-    program: &Program,
-    config: &VerifierConfig,
-    engine: &mut Engine,
-    proof: &mut ProofAutomaton,
-    stats: &mut RunStats,
-) -> (Verdict, Option<SpecCert>) {
-    let governor = pool.governor().clone();
-    for _round in 0..config.max_rounds {
-        if let Err(g) = governor.charge(Category::Rounds) {
-            return (Verdict::GaveUp(g), None);
-        }
-        let outcome = engine.round(pool, program, proof);
-        stats.hoare_checks = engine.stats.hoare_checks;
-        match outcome {
-            RoundOutcome::Proven => {
-                return (
-                    Verdict::Correct,
-                    engine.record_spec_cert(pool, program, proof),
-                )
-            }
-            RoundOutcome::Bug(trace) => return (Verdict::Incorrect { trace }, None),
-            RoundOutcome::Refined => {}
-            RoundOutcome::GaveUp(g) | RoundOutcome::Cancelled(g) => {
-                return (Verdict::GaveUp(g), None)
-            }
-        }
-    }
+    saved.restore(pool);
+    let (verdict, winner, certificate) = run.unwrap_or_else(|payload| resume_unwind(payload));
+    stats.time += start.elapsed();
     (
-        Verdict::gave_up(
-            Category::Rounds,
-            format!("no proof within {} refinement rounds", config.max_rounds),
-        ),
-        None,
+        Outcome {
+            verdict,
+            stats,
+            certificate,
+        },
+        winner,
     )
 }

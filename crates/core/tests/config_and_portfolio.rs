@@ -194,11 +194,11 @@ fn parallel_portfolio_agrees_with_sequential() {
 fn parallel_zero_wall_clock_budget_degrades_gracefully() {
     let mut pool = TermPool::new();
     let p = two_inc(&mut pool, 2);
-    let pcfg = ParallelConfig {
-        wall_clock_budget: Some(std::time::Duration::ZERO),
-        ..ParallelConfig::default()
-    };
-    let result = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+    let mut members = default_portfolio();
+    for member in &mut members {
+        member.govern.deadline = Some(std::time::Duration::ZERO);
+    }
+    let result = parallel_verify(&pool, &p, &members, &ParallelConfig::default());
     // Every engine runs out of budget before its first round; the run
     // still terminates cleanly with a give-up instead of hanging/panicking.
     assert!(matches!(result.outcome.verdict, Verdict::GaveUp(_)));
@@ -218,10 +218,13 @@ fn parallel_round_budget_degrades_gracefully() {
     let p = two_inc(&mut pool, 2);
     let pcfg = ParallelConfig {
         deterministic: true,
-        max_rounds_per_engine: 1,
         ..ParallelConfig::default()
     };
-    let result = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+    let mut members = default_portfolio();
+    for member in &mut members {
+        member.max_rounds = 1;
+    }
+    let result = parallel_verify(&pool, &p, &members, &pcfg);
     match &result.outcome.verdict {
         Verdict::GaveUp(g) => assert_eq!(g.category, gemcutter::Category::Rounds, "{g}"),
         other => panic!("expected round-budget give-up, got {other:?}"),

@@ -535,11 +535,12 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         response
     };
 
-    // Test hook (the wire-level sibling of `crash_after`): every panic a
-    // fault plan can inject is already contained one layer down, inside
-    // the supervisor's round-level `catch_unwind`, so this is the only
-    // deterministic way to exercise the worker's own outermost
-    // quarantine-and-replace layer from a protocol test.
+    // Test hook (the wire-level sibling of `crash_after`): a panic a fault
+    // plan injects is contained one layer down, by the refinement loop's
+    // `catch_unwind` around engine set-up, every round and certificate
+    // recording, so this is the only deterministic way to exercise the
+    // worker's own outermost quarantine-and-replace layer from a protocol
+    // test.
     if job.opts.faults.as_deref() == Some("worker:panic") {
         panic!("injected worker fault");
     }

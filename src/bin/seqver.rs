@@ -377,13 +377,18 @@ fn build_config(flags: &Flags) -> Result<VerifierConfig, String> {
     Ok(config)
 }
 
-/// The portfolio members with the CLI's resource limits applied to each.
+/// The portfolio members with the CLI's resource limits applied to each:
+/// `--timeout`, `--steps` and `--faults` (the member governor) and
+/// `--max-rounds` bound every member.
 fn governed_portfolio(flags: &Flags) -> Vec<VerifierConfig> {
     let mut members = default_portfolio();
     for member in &mut members {
         member.govern = flags.govern.clone();
         member.use_qcache = flags.qcache;
         member.solver = flags.solver;
+        if let Some(r) = flags.max_rounds {
+            member.max_rounds = r;
+        }
     }
     members
 }
@@ -475,14 +480,10 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut supervision: Option<SupervisionReport> = None;
     let (verdict, stats, config_name, certificate) = if flags.parallel {
-        let mut pcfg = ParallelConfig {
+        let pcfg = ParallelConfig {
             deterministic: flags.deterministic,
-            wall_clock_budget: flags.govern.deadline,
             ..ParallelConfig::default()
         };
-        if let Some(r) = flags.max_rounds {
-            pcfg.max_rounds_per_engine = r;
-        }
         if supervised {
             let sup = supervised_parallel_verify(
                 &pool,

@@ -5,23 +5,26 @@
 //! ([`parallel_verify`], deterministic mode) must never contradict each
 //! other's conclusive verdicts, and every reported bug trace must replay
 //! as feasible under exact trace analysis. On one fixed program, every
-//! single-engine driver must also report the same counters.
+//! single-engine driver must also report the same counters and honor the
+//! same run settings.
 
 use proptest::prelude::*;
 use seqver::automata::bitset::BitSet;
 use seqver::automata::dfa::DfaBuilder;
 use seqver::bench_suite;
+use seqver::gemcutter::govern::Category;
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
 use seqver::gemcutter::portfolio::{adaptive_verify, parallel_verify, ParallelConfig};
-use seqver::gemcutter::supervise::{supervised_verify, SuperviseConfig};
-use seqver::gemcutter::verify::{specs_of, verify, RunStats, Verdict, VerifierConfig};
+use seqver::gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
+use seqver::gemcutter::verify::{specs_of, verify, Outcome, RunStats, Verdict, VerifierConfig};
 use seqver::program::concurrent::{LetterId, Program, Spec};
 use seqver::program::stmt::{SimpleStmt, Statement};
 use seqver::program::thread::{Thread, ThreadId};
 use seqver::smt::linear::LinExpr;
-use seqver::smt::TermPool;
+use seqver::smt::{SolverKind, TermPool};
+use std::time::Duration;
 
 /// A random simple statement description: which variable (0..3, where 0–1
 /// are shared between threads) and what operation.
@@ -225,60 +228,111 @@ proptest! {
     }
 }
 
-/// The counters every single-engine driver must agree on. Query-cache
-/// hits and misses are left out: `verify` attributes them per run, the
-/// other drivers per round.
-fn driver_counters(s: &RunStats) -> [usize; 11] {
-    [
-        s.rounds,
-        s.visited_states,
-        s.max_round_visited,
-        s.cache_skips,
-        s.useless_probes,
-        s.useless_len,
-        s.hoare_checks,
-        s.proof_size,
-        s.interpolation.feasibility_checks,
-        s.interpolation.sliced_statements,
-        s.interpolation.farkas_chains,
-    ]
-}
-
-/// One program and one configuration, run through `verify`,
-/// `supervised_verify` with no retries and a one-member `adaptive_verify`:
-/// each runs the same rounds on one engine, so the counters must match.
-#[test]
-fn single_engine_drivers_report_identical_counters() {
+/// Runs `config` through `driver` on a fresh pool with `counter-safe-3`
+/// compiled; the portfolio drivers get `config` as their one member.
+fn run_driver(driver: &str, config: &VerifierConfig) -> Outcome {
     let bench = bench_suite::all()
         .into_iter()
         .find(|b| b.name == "counter-safe-3")
         .expect("counter-safe-3 in the suite");
+    let mut pool = TermPool::new();
+    let program = bench.compile(&mut pool);
+    assert_eq!(specs_of(&program).len(), 1, "the program has one spec");
+    let members = std::slice::from_ref(config);
+    let supervised = |retries| SuperviseConfig::retrying(RetryPolicy::with_retries(retries));
+    match driver {
+        "verify" => verify(&mut pool, &program, config),
+        "supervised" => supervised_verify(&mut pool, &program, config, &supervised(0)).outcome,
+        "supervised-retry" => {
+            supervised_verify(&mut pool, &program, config, &supervised(1)).outcome
+        }
+        "adaptive" => adaptive_verify(&mut pool, &program, members, config.max_rounds).0,
+        "parallel" => {
+            let pcfg = ParallelConfig {
+                deterministic: true,
+                ..ParallelConfig::default()
+            };
+            parallel_verify(&pool, &program, members, &pcfg).outcome
+        }
+        other => unreachable!("unknown driver {other}"),
+    }
+}
+
+/// The counters every single-engine driver must agree on.
+fn driver_counters(s: &RunStats) -> [u64; 13] {
+    let n = |count: usize| count as u64;
+    [
+        n(s.rounds),
+        n(s.visited_states),
+        n(s.max_round_visited),
+        n(s.cache_skips),
+        n(s.useless_probes),
+        n(s.useless_len),
+        n(s.hoare_checks),
+        n(s.proof_size),
+        n(s.interpolation.feasibility_checks),
+        n(s.interpolation.sliced_statements),
+        n(s.interpolation.farkas_chains),
+        s.qcache_hits,
+        s.qcache_misses,
+    ]
+}
+
+/// One program and one configuration, run through `verify`,
+/// `supervised_verify` with no retries, a one-member `adaptive_verify` and
+/// a one-member deterministic `parallel_verify`: each runs the same rounds
+/// on one engine, so the counters must match.
+#[test]
+fn single_engine_drivers_report_identical_counters() {
     let config = VerifierConfig::gemcutter_seq();
     let run = |driver: &str| {
-        let mut pool = TermPool::new();
-        let program = bench.compile(&mut pool);
-        assert_eq!(specs_of(&program).len(), 1, "the program has one spec");
-        let outcome = match driver {
-            "verify" => verify(&mut pool, &program, &config),
-            "supervised" => {
-                supervised_verify(&mut pool, &program, &config, &SuperviseConfig::default()).outcome
-            }
-            _ => {
-                adaptive_verify(
-                    &mut pool,
-                    &program,
-                    std::slice::from_ref(&config),
-                    config.max_rounds,
-                )
-                .0
-            }
-        };
+        let outcome = run_driver(driver, &config);
         assert_eq!(outcome.verdict, Verdict::Correct, "{driver}");
         driver_counters(&outcome.stats)
     };
     let reference = run("verify");
     assert!(reference[0] > 1, "the program needs several rounds");
-    for driver in ["supervised", "adaptive"] {
+    for driver in ["supervised", "adaptive", "parallel"] {
         assert_eq!(run(driver), reference, "{driver} disagrees with verify");
+    }
+}
+
+/// Every driver runs under the configuration's solver, query-cache
+/// setting and governor, not only `verify`.
+#[test]
+fn every_driver_honors_run_settings() {
+    let drivers = [
+        "verify",
+        "supervised",
+        "supervised-retry",
+        "adaptive",
+        "parallel",
+    ];
+    // DPLL charges no CDCL conflicts, so a one-conflict budget only bites
+    // a driver that leaves the default CDCL solver in place.
+    let mut dpll = VerifierConfig::gemcutter_seq().with_solver(SolverKind::Dpll);
+    dpll.govern.cdcl_conflict_budget = Some(1);
+    for driver in drivers {
+        let outcome = run_driver(driver, &dpll);
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Correct,
+            "{driver} ignored the solver"
+        );
+    }
+    let cold = VerifierConfig::gemcutter_seq().without_qcache();
+    for driver in drivers {
+        let stats = run_driver(driver, &cold).stats;
+        assert_eq!(
+            (stats.qcache_hits, stats.qcache_misses),
+            (0, 0),
+            "{driver} used the query cache"
+        );
+    }
+    let mut late = VerifierConfig::gemcutter_seq();
+    late.govern.deadline = Some(Duration::ZERO);
+    match run_driver("adaptive", &late).verdict {
+        Verdict::GaveUp(g) => assert_eq!(g.category, Category::Deadline, "{g}"),
+        other => panic!("adaptive ignored the deadline: {other:?}"),
     }
 }

@@ -5,10 +5,12 @@
 //! *candidates* — every proof transition is re-validated by Hoare
 //! queries, so a bad seed costs completeness, never soundness).
 
-use seqver::gemcutter::govern::GovernorConfig;
+use seqver::gemcutter::govern::{Category, FaultPlan, GovernorConfig};
 use seqver::gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
 use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
 use seqver::smt::TermPool;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Two four-iteration workers plus a checker — the `chain-medium`
 /// example: gives up under a 400-state DFS budget, converges one or two
@@ -185,4 +187,35 @@ fn unlimited_budget_never_retries_and_matches_plain_verify() {
     );
     assert_eq!(sup.outcome.stats.rounds, plain.stats.rounds);
     assert_eq!(sup.outcome.stats.proof_size, plain.stats.proof_size);
+}
+
+/// A panic while the engine is built (its persistent sets run
+/// commutativity queries through the solver) is contained like a panic in
+/// a round: the run gives up with `injected-fault`, and the pool gets its
+/// previous governor back.
+#[test]
+fn panic_in_engine_setup_is_contained() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/cpl/counter.cpl");
+    let source = std::fs::read_to_string(path).unwrap();
+    let mut pool = TermPool::new();
+    let p = seqver::cpl::compile(&source, &mut pool).unwrap();
+    let token = Arc::new(AtomicBool::new(false));
+    pool.set_governor(GovernorConfig::default().build_with_cancel(Arc::clone(&token)));
+    let config = VerifierConfig {
+        govern: GovernorConfig {
+            fault_plan: FaultPlan::parse("simplex-pivots:1:panic").unwrap(),
+            ..GovernorConfig::default()
+        },
+        ..VerifierConfig::gemcutter_seq()
+    };
+    let sup = supervised_verify(&mut pool, &p, &config, &SuperviseConfig::default());
+    match &sup.outcome.verdict {
+        Verdict::GaveUp(g) => assert_eq!(g.category, Category::InjectedFault, "{g}"),
+        other => panic!("expected a contained panic, got {other:?}"),
+    }
+    let installed = pool.governor().cancel_token().expect("a governed pool");
+    assert!(
+        Arc::ptr_eq(&installed, &token),
+        "the previous governor must be reinstalled"
+    );
 }
