@@ -4,7 +4,10 @@
 //! 1. *Clean sweep* — every conclusive corpus verdict's certificate must
 //!    clear the independent checker in `full` mode (pass rate gated at
 //!    100%: a fresh certificate that fails the audit is a checker or
-//!    recorder bug, either of which is a soundness hole).
+//!    recorder bug, either of which is a soundness hole). The sweep also
+//!    reports the full audits' time, obligations and the obligations that
+//!    reached the solver (the rest were settled by the frame rule or the
+//!    checker's call-local memo).
 //! 2. *Mutation battery* — every applicable single-point mutation of
 //!    every clean certificate must be rejected in `full` mode (catch
 //!    rate gated at 100%: a surviving mutation means a wrong verdict
@@ -131,6 +134,9 @@ fn main() {
     let mut checked = 0u64;
     let mut passed = 0u64;
     let mut gave_up = 0u64;
+    let mut full_audit_s = 0.0;
+    let mut full_obligations = 0usize;
+    let mut full_solved = 0usize;
     let mut fixtures: Vec<(String, String, String)> = Vec::new(); // (name, source, cert text)
     let sweep_start = Instant::now();
     for b in &benchmarks {
@@ -145,7 +151,11 @@ fn main() {
             .certificate
             .unwrap_or_else(|| panic!("{}: conclusive verdict without a certificate", b.name));
         checked += 1;
+        let audit_start = Instant::now();
         let report = check_certificate(&mut pool, &program, &cert, CertifyMode::Full);
+        full_audit_s += audit_start.elapsed().as_secs_f64();
+        full_obligations += report.obligations;
+        full_solved += report.solved;
         if report.ok {
             passed += 1;
         } else {
@@ -162,6 +172,10 @@ fn main() {
         "  clean sweep: {passed}/{checked} certificates pass full audit ({} gave up) in {}",
         gave_up,
         fmt_time(sweep_start.elapsed().as_secs_f64())
+    );
+    println!(
+        "  full audits: {} over {full_obligations} obligations, {full_solved} reached the solver",
+        fmt_time(full_audit_s)
     );
 
     // Phase 2: mutation battery — every applicable mutation of every
@@ -285,6 +299,9 @@ fn main() {
     json.push_str(&format!("  \"certs_checked\": {checked},\n"));
     json.push_str(&format!("  \"certs_passed\": {passed},\n"));
     json.push_str(&format!("  \"clean_pass_rate\": {clean_pass_rate:.4},\n"));
+    json.push_str(&format!("  \"full_audit_s\": {full_audit_s:.6},\n"));
+    json.push_str(&format!("  \"full_obligations\": {full_obligations},\n"));
+    json.push_str(&format!("  \"full_solved\": {full_solved},\n"));
     json.push_str(&format!("  \"mutations_applied\": {applied},\n"));
     json.push_str(&format!("  \"mutations_caught\": {caught},\n"));
     json.push_str(&format!(

@@ -14,15 +14,26 @@
 //!   alone and re-checked as a language inclusion via `crates/automata`;
 //! * every Hoare obligation is re-discharged with the legacy DPLL solver
 //!   (`--solver=dpll`), the query cache disabled, so a CDCL or cache bug
-//!   cannot confirm its own output;
+//!   cannot confirm its own output. Before DPLL, an obligation
+//!   `{⋀ann(f)} l {ψ}` is settled by two proof rules and a memo local to
+//!   the [`check_certificate`] call: the *frame rule* (ψ is a conjunct of
+//!   `ann(f)` and `l` writes none of ψ's variables), *weakening* (the
+//!   precondition is sliced to the conjuncts connected to `l` and ψ through
+//!   shared variables; a sliced triple that fails is re-checked from the
+//!   full `⋀ann(f)`), and a memo of the preconditions already proven for
+//!   the same letter and ψ in this call (a superset of one is proven by
+//!   weakening);
 //! * bug traces are replayed concretely through `program::interp`,
 //!   branching over escalating havoc domains, with an SSA feasibility
 //!   check as the fallback for witnesses outside the concrete domains.
 //!
 //! The checker trusts: the term pool's evaluator/DPLL core, the
-//! `crates/automata` inclusion check, and the program representation
-//! itself. It does **not** trust the CDCL solver, the query cache, the
-//! interpolation engine, the useless-state cache, or the store.
+//! `crates/automata` inclusion check, the program representation itself,
+//! and the two syntactic rules above (the frame rule holds because only
+//! written variables are primed in the post, weakening because a triple
+//! valid from a weaker precondition is valid from a stronger one). It
+//! does **not** trust the CDCL solver, the query cache, the interpolation
+//! engine, the useless-state cache, or the store.
 
 use crate::check::{CheckConfig, RecordedReduction};
 use crate::interpolate::{analyze_trace, InterpolationStats, TraceResult};
@@ -38,6 +49,7 @@ use program::interp::Interpreter;
 use program::thread::ThreadId;
 use reduction::order::OrderContext;
 use reduction::persistent::{MembraneMode, PersistentSets};
+use smt::linear::VarId;
 use smt::resource::{Category, ResourceGovernor};
 use smt::solver::{check as smt_check, entails, SolverKind};
 use smt::term::{TermId, TermPool};
@@ -557,24 +569,34 @@ pub struct CertifyReport {
     pub obligations: usize,
     /// Solver obligations actually re-discharged.
     pub checked: usize,
+    /// Re-discharged obligations that reached the DPLL solver; the others
+    /// were settled by the frame rule or the call-local memo.
+    pub solved: usize,
 }
 
 impl CertifyReport {
-    fn pass(obligations: usize, checked: usize) -> CertifyReport {
+    fn pass(obligations: usize, checked: usize, solved: usize) -> CertifyReport {
         CertifyReport {
             ok: true,
             reason: String::new(),
             obligations,
             checked,
+            solved,
         }
     }
 
-    fn fail(reason: impl Into<String>, obligations: usize, checked: usize) -> CertifyReport {
+    fn fail(
+        reason: impl Into<String>,
+        obligations: usize,
+        checked: usize,
+        solved: usize,
+    ) -> CertifyReport {
         CertifyReport {
             ok: false,
             reason: reason.into(),
             obligations,
             checked,
+            solved,
         }
     }
 }
@@ -584,8 +606,8 @@ impl fmt::Display for CertifyReport {
         if self.ok {
             write!(
                 f,
-                "ok ({} obligations, {} re-discharged)",
-                self.obligations, self.checked
+                "ok ({} obligations, {} re-discharged, {} by the solver)",
+                self.obligations, self.checked, self.solved
             )
         } else {
             write!(f, "REJECTED: {}", self.reason)
@@ -609,7 +631,7 @@ pub fn check_certificate(
     mode: CertifyMode,
 ) -> CertifyReport {
     if mode == CertifyMode::Off {
-        return CertifyReport::pass(0, 0);
+        return CertifyReport::pass(0, 0, 0);
     }
     let saved_kind = pool.solver_kind();
     let saved_cache = pool.take_query_cache();
@@ -680,6 +702,8 @@ struct LazyImports<'a> {
     sc: &'a SpecCert,
     terms: Vec<Option<TermId>>,
     conjs: Vec<Option<TermId>>,
+    /// Sorted free variables of each interned assertion.
+    vars: Vec<Option<Vec<VarId>>>,
 }
 
 impl<'a> LazyImports<'a> {
@@ -688,6 +712,7 @@ impl<'a> LazyImports<'a> {
             sc,
             terms: vec![None; sc.assertions.len()],
             conjs: vec![None; sc.annotations.len()],
+            vars: vec![None; sc.assertions.len()],
         }
     }
 
@@ -699,6 +724,15 @@ impl<'a> LazyImports<'a> {
         let t = pool.import(&self.sc.assertions[i]);
         self.terms[i] = Some(t);
         t
+    }
+
+    /// The sorted free variables of the interned assertion `i`.
+    fn vars(&mut self, pool: &mut TermPool, i: usize) -> &[VarId] {
+        if self.vars[i].is_none() {
+            let t = self.term(pool, i);
+            self.vars[i] = Some(pool.free_vars(t));
+        }
+        self.vars[i].as_deref().unwrap_or_default()
     }
 
     /// The interned conjunction of annotation node `node`.
@@ -727,6 +761,7 @@ struct Obligations {
     salt: u64,
     total: usize,
     checked: usize,
+    solved: usize,
 }
 
 impl Obligations {
@@ -751,6 +786,124 @@ impl Obligations {
     }
 }
 
+/// Discharges the Hoare obligations `{⋀ann(f)} l {ψᵢ}` of one
+/// [`check_certificate`] call. Every step taken before DPLL is itself a
+/// proof, so nothing is sampled away or trusted:
+///
+/// 1. *Frame rule.* If `i ∈ ann(f)` and `l` writes none of ψᵢ's variables,
+///    the triple holds: only written variables are primed in the post, so
+///    the query `⋀ann(f) ∧ rel(l) ∧ ¬ψᵢ′` contains `ψᵢ ∧ ¬ψᵢ`.
+/// 2. *Weakening.* The precondition is sliced to the conjuncts of
+///    `ann(f)` transitively connected, through shared variables, to
+///    `accesses(l) ∪ vars(ψᵢ)`; a triple valid from the weaker
+///    precondition is valid from `⋀ann(f)`. A sliced triple that fails is
+///    re-checked from the full `⋀ann(f)`, so slicing rejects nothing the
+///    unsliced query accepts (the precondition may be unsatisfiable only
+///    through a disconnected conjunct).
+/// 3. *Memo.* For each `(l, ψ)` the memo keeps the preconditions, as
+///    sorted sets of conjunct terms, from which the triple was proven
+///    earlier in the same call. A precondition that contains one of them
+///    is proven by weakening without a solver call, so a repeated
+///    obligation is solved once. The memo holds only proofs and dies with
+///    the call; the query cache stays unused.
+struct HoareObligations {
+    automaton: ProofAutomaton,
+    proven: HashMap<(LetterId, TermId), Vec<Vec<TermId>>>,
+    /// Sorted variables each letter reads or writes, built on first use.
+    accesses: Vec<Option<Vec<VarId>>>,
+}
+
+impl HoareObligations {
+    fn new(program: &Program) -> HoareObligations {
+        HoareObligations {
+            automaton: ProofAutomaton::new(),
+            proven: HashMap::new(),
+            accesses: vec![None; program.num_letters()],
+        }
+    }
+
+    /// Settles `{⋀ann(node)} l {ψᵢ}`. Returns `None` when the frame rule
+    /// or the memo proved it, and DPLL's answer when it was solved.
+    fn discharge(
+        &mut self,
+        pool: &mut TermPool,
+        program: &Program,
+        imports: &mut LazyImports<'_>,
+        node: usize,
+        l: LetterId,
+        i: u32,
+    ) -> Option<bool> {
+        let ann = &imports.sc.annotations[node];
+        let writes = program.statement(l).writes();
+        let psi_vars = imports.vars(pool, i as usize);
+        if ann.binary_search(&i).is_ok() && psi_vars.iter().all(|v| !writes.contains(v)) {
+            return None;
+        }
+        let mut reach = self.accesses[l.index()]
+            .get_or_insert_with(|| program.statement(l).accesses().into_iter().collect())
+            .clone();
+        reach.extend_from_slice(psi_vars);
+        reach.sort_unstable();
+        reach.dedup();
+        let mut kept = vec![false; ann.len()];
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (k, &j) in ann.iter().enumerate() {
+                if kept[k] {
+                    continue;
+                }
+                let vars = imports.vars(pool, j as usize);
+                if vars.iter().any(|v| reach.binary_search(v).is_ok()) {
+                    kept[k] = true;
+                    reach.extend_from_slice(vars);
+                    reach.sort_unstable();
+                    reach.dedup();
+                    grew = true;
+                }
+            }
+        }
+        let full = kept.iter().all(|&k| k);
+        let mut parts = Vec::new();
+        for (k, &j) in ann.iter().enumerate() {
+            if kept[k] {
+                parts.push(imports.term(pool, j as usize));
+            }
+        }
+        parts.sort_unstable();
+        parts.dedup();
+        let post = imports.term(pool, i as usize);
+        let key = (l, post);
+        if let Some(proven) = self.proven.get(&key) {
+            let weaker = |p: &Vec<TermId>| p.iter().all(|t| parts.binary_search(t).is_ok());
+            if proven.iter().any(weaker) {
+                return None;
+            }
+        }
+        let pre = if full {
+            imports.conj(pool, node)
+        } else {
+            pool.and(parts.iter().copied())
+        };
+        if self
+            .automaton
+            .hoare_triple_valid(pool, program, pre, l, post)
+        {
+            self.proven.entry(key).or_default().push(parts);
+            return Some(true);
+        }
+        // The precondition may be unsatisfiable only through a conjunct the
+        // slice dropped. This is rare, so the full proof is not memoized.
+        let whole = imports.conj(pool, node);
+        Some(
+            !full
+                && self
+                    .automaton
+                    .hoare_triple_valid(pool, program, whole, l, post),
+        )
+    }
+}
+
 fn check_inner(
     pool: &mut TermPool,
     program: &Program,
@@ -767,6 +920,7 @@ fn check_inner(
             ),
             0,
             0,
+            0,
         );
     }
     let specs = specs_of(program);
@@ -779,6 +933,7 @@ fn check_inner(
                     format!("specification list mismatch: program {want:?}, certificate {have:?}"),
                     0,
                     0,
+                    0,
                 );
             }
             let mut ob = Obligations {
@@ -786,17 +941,20 @@ fn check_inner(
                 salt: fp,
                 total: 0,
                 checked: 0,
+                solved: 0,
             };
+            let mut hoare = HoareObligations::new(program);
             for sc in scs {
-                if let Err(reason) = check_spec_cert(pool, program, sc, mode, &mut ob) {
+                if let Err(reason) = check_spec_cert(pool, program, sc, mode, &mut ob, &mut hoare) {
                     return CertifyReport::fail(
                         format!("[{}] {reason}", sc.spec.to_text()),
                         ob.total,
                         ob.checked,
+                        ob.solved,
                     );
                 }
             }
-            CertifyReport::pass(ob.total, ob.checked)
+            CertifyReport::pass(ob.total, ob.checked, ob.solved)
         }
         Certificate::Bug { spec, trace, .. } => {
             if !specs.contains(&spec.to_spec()) {
@@ -805,6 +963,7 @@ fn check_inner(
                         "bug spec {} not a specification of the program",
                         spec.to_text()
                     ),
+                    0,
                     0,
                     0,
                 );
@@ -822,6 +981,7 @@ fn check_spec_cert(
     sc: &SpecCert,
     mode: CertifyMode,
     ob: &mut Obligations,
+    hoare: &mut HoareObligations,
 ) -> Result<(), String> {
     let n_letters = program.num_letters();
     let n_nodes = sc.annotations.len();
@@ -924,15 +1084,17 @@ fn check_spec_cert(
     let tripped = |pool: &TermPool, ob: &mut Obligations| {
         let t = pool.governor().is_tripped();
         if t {
-            // The exhausted obligation was counted when taken but was
-            // not actually re-discharged.
+            // The exhausted obligation was counted when taken (and as
+            // solved) but was not actually re-discharged.
             ob.checked -= 1;
+            ob.solved -= 1;
         }
         t
     };
     let spec = sc.spec.to_spec();
     for &i in &sc.annotations[sc.initial as usize] {
         if ob.take(weights[i as usize]) {
+            ob.solved += 1;
             let init = pool.and([program.init_formula(), program.pre()]);
             let assertion = imports.term(pool, i as usize);
             if !entails(pool, init, assertion) {
@@ -945,13 +1107,18 @@ fn check_spec_cert(
             }
         }
     }
-    let mut hoare = ProofAutomaton::new();
     for &(f, l, t) in &sc.edges {
         for &i in &sc.annotations[t as usize] {
+            // Costed on the unsliced precondition, so the sample tier's
+            // stripe and skips do not depend on the slicing.
             if ob.take(node_weights[f as usize] + weights[i as usize]) {
-                let pre = imports.conj(pool, f as usize);
-                let post = imports.term(pool, i as usize);
-                if !hoare.hoare_triple_valid(pool, program, pre, LetterId(l), post) {
+                let Some(valid) =
+                    hoare.discharge(pool, program, &mut imports, f as usize, LetterId(l), i)
+                else {
+                    continue;
+                };
+                ob.solved += 1;
+                if !valid {
                     if tripped(pool, ob) {
                         return Ok(());
                     }
@@ -964,6 +1131,7 @@ fn check_spec_cert(
     }
     for &b in &sc.bottoms {
         if ob.take(node_weights[b as usize]) {
+            ob.solved += 1;
             let conj = imports.conj(pool, b as usize);
             if !smt_check(pool, &[conj]).is_unsat() {
                 if tripped(pool, ob) {
@@ -976,6 +1144,7 @@ fn check_spec_cert(
     if spec == Spec::PrePost {
         for &s in &sc.safes {
             if ob.take(node_weights[s as usize]) {
+                ob.solved += 1;
                 let conj = imports.conj(pool, s as usize);
                 if !entails(pool, conj, program.post()) {
                     if tripped(pool, ob) {
@@ -988,11 +1157,16 @@ fn check_spec_cert(
     } else if !sc.safes.is_empty() {
         return Err("safe nodes recorded for an error specification".to_owned());
     }
+    // A claim reached the solver iff the oracle ran a semantic check for
+    // it; syntactic and cached answers did not.
     let mut oracle = CommutativityOracle::new(CommutativityLevel::Semantic);
     for &(a, b, s) in &sc.claims {
         if ob.take(node_weights[s as usize]) {
             let conj = imports.conj(pool, s as usize);
-            if !oracle.commute_under(pool, program, conj, LetterId(a), LetterId(b)) {
+            let before = oracle.stats().semantic_checks;
+            let commutes = oracle.commute_under(pool, program, conj, LetterId(a), LetterId(b));
+            ob.solved += oracle.stats().semantic_checks - before;
+            if !commutes {
                 if tripped(pool, ob) {
                     return Ok(());
                 }
@@ -1005,7 +1179,13 @@ fn check_spec_cert(
     for &(a, b) in &sc.ucommute {
         // Unconditional claims involve only the two letters' transition
         // formulas, which live program-side: no certificate-side cost.
-        if ob.take(0) && !oracle.commute(pool, program, LetterId(a), LetterId(b)) {
+        if !ob.take(0) {
+            continue;
+        }
+        let before = oracle.stats().semantic_checks;
+        let commutes = oracle.commute(pool, program, LetterId(a), LetterId(b));
+        ob.solved += oracle.stats().semantic_checks - before;
+        if !commutes {
             if tripped(pool, ob) {
                 return Ok(());
             }
@@ -1177,17 +1357,17 @@ fn check_bug_cert(
 ) -> CertifyReport {
     let n_letters = program.num_letters();
     if trace.iter().any(|&l| l as usize >= n_letters) {
-        return CertifyReport::fail("trace references unknown letter", 0, 0);
+        return CertifyReport::fail("trace references unknown letter", 0, 0, 0);
     }
     let letters: Vec<LetterId> = trace.iter().map(|&l| LetterId(l)).collect();
     let Some(end) = program.run(&letters) else {
-        return CertifyReport::fail("trace not executable in the product", 0, 0);
+        return CertifyReport::fail("trace not executable in the product", 0, 0, 0);
     };
     if !program.is_accepting(&end, spec) {
-        return CertifyReport::fail("trace does not reach an accepting state", 0, 0);
+        return CertifyReport::fail("trace does not reach an accepting state", 0, 0, 0);
     }
     if !matches!(mode, CertifyMode::Sample | CertifyMode::Full) {
-        return CertifyReport::pass(0, 0);
+        return CertifyReport::pass(0, 0, 0);
     }
     // Concrete replay: for an error spec, completing the trace into the
     // error location is the violation itself; for pre/post, the final
@@ -1195,23 +1375,23 @@ fn check_bug_cert(
     for domain in [vec![0, 1], vec![-1, 0, 1, 2]] {
         let interp = Interpreter::new(program).with_havoc_domain(domain);
         if concrete_violation(pool, program, &interp, spec, &letters) {
-            return CertifyReport::pass(1, 1);
+            return CertifyReport::pass(1, 1, 0);
         }
     }
     // The witness may need havoc values outside the concrete domains:
     // fall back to SSA feasibility under the (independent) DPLL solver.
     let mut stats = InterpolationStats::default();
     match analyze_trace(pool, program, &letters, spec, &mut stats) {
-        TraceResult::Feasible => CertifyReport::pass(1, 1),
+        TraceResult::Feasible => CertifyReport::pass(1, 1, 1),
         // Under the sample tier's step budget a governor trip means the
         // re-analysis ran out of budget, not that the trace is bogus: the
         // structural product run above still stands, so pass unchecked.
-        _ if pool.governor().is_tripped() => CertifyReport::pass(1, 0),
+        _ if pool.governor().is_tripped() => CertifyReport::pass(1, 0, 0),
         TraceResult::Infeasible { .. } => {
-            CertifyReport::fail("trace is infeasible under re-analysis", 1, 1)
+            CertifyReport::fail("trace is infeasible under re-analysis", 1, 1, 1)
         }
         TraceResult::Unknown => {
-            CertifyReport::fail("trace feasibility could not be confirmed", 1, 1)
+            CertifyReport::fail("trace feasibility could not be confirmed", 1, 1, 1)
         }
     }
 }
